@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor,
-    ScanItem, ScanOps,
+    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, KeyRange,
+    RelationDescriptor, ScanItem, ScanOps, TreeEntries, TreeScan,
 };
 use dmx_types::{
     key::{decode_values, encode_values},
@@ -372,52 +372,29 @@ impl Attachment for Aggregate {
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         instance: &AttachmentInstance,
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let d = AggDesc::decode(&instance.desc)?;
         let tree = Self::tree(ctx.services(), &d);
         let range = match query {
-            AccessQuery::All => dmx_core::KeyRange::all(),
-            AccessQuery::KeyEquals(k) => dmx_core::KeyRange::exact(k.clone()),
+            AccessQuery::All => KeyRange::all(),
+            AccessQuery::KeyEquals(k) => KeyRange::exact(k.clone()),
             AccessQuery::Range(r) => r.clone(),
             AccessQuery::Spatial(_, _) => {
                 return Err(DmxError::Unsupported("aggregate: spatial query".into()))
             }
         };
-        Ok(Box::new(AggScan {
-            tree,
-            range,
-            after: None,
-        }))
+        Ok(Box::new(TreeScan::new(&tree, range, rd.id, AggEntries)))
     }
 }
 
-struct AggScan {
-    tree: BTree,
-    range: dmx_core::KeyRange,
-    after: Option<Vec<u8>>,
-}
+/// Aggregate cells: `enc(group) → (count, sum)`.
+struct AggEntries;
 
-impl ScanOps for AggScan {
-    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        use std::ops::Bound;
-        let bound = match &self.after {
-            Some(k) => Bound::Excluded(k.as_slice()),
-            None => match &self.range.lo {
-                Bound::Included(b) => Bound::Included(b.as_slice()),
-                Bound::Excluded(b) => Bound::Excluded(b.as_slice()),
-                Bound::Unbounded => Bound::Unbounded,
-            },
-        };
-        let Some((key, cell)) = self.tree.seek(bound)? else {
-            return Ok(None);
-        };
-        if !self.range.contains(&key) {
-            return Ok(None);
-        }
-        self.after = Some(key.clone());
+impl TreeEntries for AggEntries {
+    fn item(&self, _ctx: &ExecCtx<'_>, key: Vec<u8>, cell: Vec<u8>) -> Result<Option<ScanItem>> {
         let group = decode_values(&key, 1)?
             .pop()
             .ok_or_else(|| DmxError::Corrupt("empty aggregate group key".into()))?;
@@ -426,15 +403,6 @@ impl ScanOps for AggScan {
             key: RecordKey::new(key),
             values: Some(vec![group, Value::Int(count), Value::Float(sum)]),
         }))
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        crate::common_position::encode(self.after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = crate::common_position::decode(pos)?;
-        Ok(())
     }
 
     fn items_are_record_keys(&self) -> bool {

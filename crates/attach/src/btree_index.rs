@@ -16,15 +16,14 @@ use std::sync::Arc;
 
 use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
-    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps,
+    lock_write_gaps, project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance,
+    CommonServices, Cost, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps,
+    TreeEntries, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
-use dmx_lock::{LockMode, LockName};
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, RelationId, Result,
-    Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, Result, Schema, Value,
 };
 
 use crate::common::{
@@ -115,10 +114,8 @@ impl BTreeIndex {
             ));
         }
         let full = Self::full_key(&prefix, key);
-        // Fence the entry against locked index-range scans: X the gap
-        // the new entry splits (named by its in-tree successor).
-        let succ = tree.seek(Bound::Excluded(full.as_slice()))?.map(|(k, _)| k);
-        ctx.lock(LockName::gap(rd.id, d.file, succ.as_deref()), LockMode::X)?;
+        // Fence the entry against locked index-range scans.
+        lock_write_gaps(ctx, rd.id, &tree, None, &full, false)?;
         // Log first, then apply with the record's LSN stamped onto every
         // page the tree op dirties: the flush hook forces the log through
         // a page's LSN before writing it, so the entry can never reach
@@ -151,14 +148,7 @@ impl BTreeIndex {
         if tree.get(&full)?.is_none() {
             return Ok(());
         }
-        // Deleting merges the entry's gap into its successor's: X both
-        // names so locked index-range scans spanning either conflict.
-        ctx.lock(
-            LockName::gap(rd.id, d.file, Some(full.as_slice())),
-            LockMode::X,
-        )?;
-        let succ = tree.seek(Bound::Excluded(full.as_slice()))?.map(|(k, _)| k);
-        ctx.lock(LockName::gap(rd.id, d.file, succ.as_deref()), LockMode::X)?;
+        lock_write_gaps(ctx, rd.id, &tree, None, &full, true)?;
         // Write-ahead: log, then delete with the LSN stamped (see insert).
         let lsn = log_att(
             ctx,
@@ -342,18 +332,13 @@ impl Attachment for BTreeIndex {
     ) -> Result<Box<dyn ScanOps>> {
         let d = IxDesc::decode(&instance.desc)?;
         let tree = Self::tree(ctx.services(), &d);
-        let (lo, hi) = translate_prefix_range(query)?;
-        Ok(Box::new(IndexScan {
-            tree,
-            rel: rd.id,
-            file: d.file,
-            lo,
-            hi,
-            fields: d.fields,
-            after: None,
-            range_lock: false,
-            end_gap_locked: false,
-        }))
+        let range = translate_prefix_range(query)?;
+        Ok(Box::new(TreeScan::new(
+            &tree,
+            range,
+            rd.id,
+            IndexEntries { fields: d.fields },
+        )))
     }
 
     fn estimate(
@@ -490,15 +475,12 @@ fn prefix_hi(prefix: &[u8]) -> Bound<Vec<u8>> {
     }
 }
 
-/// A resolved `(low, high)` pair of full-key scan bounds.
-type KeyBounds = (Bound<Vec<u8>>, Bound<Vec<u8>>);
-
 /// Translates a planner range over index-key *prefixes* into a range over
 /// full keys (`prefix ∥ record_key`).
-fn translate_prefix_range(query: &AccessQuery) -> Result<KeyBounds> {
+fn translate_prefix_range(query: &AccessQuery) -> Result<KeyRange> {
     let owned;
     let kr = match query {
-        AccessQuery::All => return Ok((Bound::Unbounded, Bound::Unbounded)),
+        AccessQuery::All => return Ok(KeyRange::all()),
         AccessQuery::KeyEquals(k) => {
             owned = KeyRange::exact(k.clone());
             &owned
@@ -526,78 +508,36 @@ fn translate_prefix_range(query: &AccessQuery) -> Result<KeyBounds> {
         },
         Bound::Excluded(b) => Bound::Excluded(b.clone()),
     };
-    Ok((lo, hi))
+    Ok(KeyRange { lo, hi })
 }
 
-/// Key-sequential access over an index: returns record keys plus the
-/// covered (indexed) field values decoded from the index key.
-struct IndexScan {
-    tree: BTree,
-    rel: RelationId,
-    file: FileId,
-    lo: Bound<Vec<u8>>,
-    hi: Bound<Vec<u8>>,
+/// Index entries: `enc(indexed values) ∥ record key → record key`. The
+/// items are record keys plus the covered (indexed) field values decoded
+/// from the entry key.
+struct IndexEntries {
     /// The indexed fields — prefix decode count for covered values, and
-    /// the projection [`ScanOps::item_from_version`] re-derives from a
-    /// record's current values.
+    /// the projection [`TreeEntries::item_from_version`] re-derives from
+    /// a record's current values.
     fields: Vec<FieldId>,
-    after: Option<Vec<u8>>,
-    /// S-lock the gap below every index entry the scan passes
-    /// (locking-scan dispatch only; raw internal scans leave it off).
-    range_lock: bool,
-    end_gap_locked: bool,
 }
 
-impl ScanOps for IndexScan {
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let bound = match &self.after {
-            Some(k) => Bound::Excluded(k.as_slice()),
-            None => match &self.lo {
-                Bound::Included(b) => Bound::Included(b.as_slice()),
-                Bound::Excluded(b) => Bound::Excluded(b.as_slice()),
-                Bound::Unbounded => Bound::Unbounded,
-            },
-        };
-        let Some((key, value)) = self.tree.seek(bound)? else {
-            if self.range_lock && !self.end_gap_locked {
-                self.end_gap_locked = true;
-                ctx.lock(LockName::gap(self.rel, self.file, None), LockMode::S)?;
-            }
-            return Ok(None);
-        };
-        let in_hi = match &self.hi {
-            Bound::Unbounded => true,
-            Bound::Included(h) => key <= *h,
-            Bound::Excluded(h) => key < *h,
-        };
-        if !in_hi {
-            if self.range_lock && !self.end_gap_locked {
-                self.end_gap_locked = true;
-                // Record before gap (see the in-range arm): the boundary
-                // entry's record may be mid-delete, and the deleter
-                // already holds its record X while acquiring gaps.
-                ctx.lock_record(self.rel, &RecordKey::new(value.clone()), LockMode::S)?;
-                ctx.lock(LockName::gap(self.rel, self.file, Some(&key)), LockMode::S)?;
-            }
-            return Ok(None);
-        }
-        if self.range_lock {
-            // Record S on the entry's record key ahead of the gap S:
-            // writers lock record X before entry gaps (the DML layer
-            // X-locks the record before attachment maintenance runs), so
-            // a shared per-key order keeps a range scan and a concurrent
-            // delete from deadlocking across the Record/Gap pair. The
-            // LockingScan wrapper's later record S is a re-grant.
-            ctx.lock_record(self.rel, &RecordKey::new(value.clone()), LockMode::S)?;
-            ctx.lock(LockName::gap(self.rel, self.file, Some(&key)), LockMode::S)?;
-        }
-        self.after = Some(key.clone());
-        // the index key prefix covers the indexed fields
+impl TreeEntries for IndexEntries {
+    fn item(&self, _ctx: &ExecCtx<'_>, key: Vec<u8>, value: Vec<u8>) -> Result<Option<ScanItem>> {
         let covered = decode_values(&key, self.fields.len())?;
         Ok(Some(ScanItem {
             key: RecordKey::new(value),
             values: Some(covered),
         }))
+    }
+
+    fn gap_lockable(&self) -> bool {
+        true
+    }
+
+    /// The entry's record: writers lock record X before entry gaps (the
+    /// DML layer X-locks the record before attachment maintenance runs).
+    fn locked_record(&self, _key: &[u8], value: &[u8]) -> RecordKey {
+        RecordKey::new(value.to_vec())
     }
 
     fn supports_versioned_read(&self) -> bool {
@@ -607,55 +547,23 @@ impl ScanOps for IndexScan {
     fn item_from_version(
         &self,
         _ctx: &ExecCtx<'_>,
+        range: &KeyRange,
         key: &RecordKey,
         values: &[Value],
     ) -> Result<Option<ScanItem>> {
         // Covered values re-derived from the record itself, not the
         // (possibly stale or uncommitted) index entry.
-        let covered = self
-            .fields
-            .iter()
-            .map(|&f| {
-                values
-                    .get(f as usize)
-                    .cloned()
-                    .ok_or_else(|| DmxError::InvalidArg(format!("no field {f}")))
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let covered = project_values(values, Some(&self.fields))?;
         // The record's *current* indexed values decide range membership
         // (the entry that surfaced the item may describe older ones).
         let mut full = encode_values(&covered);
         full.extend_from_slice(key.as_bytes());
-        let in_lo = match &self.lo {
-            Bound::Unbounded => true,
-            Bound::Included(b) => full >= *b,
-            Bound::Excluded(b) => full > *b,
-        };
-        let in_hi = match &self.hi {
-            Bound::Unbounded => true,
-            Bound::Included(b) => full <= *b,
-            Bound::Excluded(b) => full < *b,
-        };
-        if !in_lo || !in_hi {
+        if !range.contains(&full) {
             return Ok(None);
         }
         Ok(Some(ScanItem {
             key: key.clone(),
             values: Some(covered),
         }))
-    }
-
-    fn set_range_locking(&mut self, on: bool) {
-        self.range_lock = on;
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        crate::common_position::encode(self.after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = crate::common_position::decode(pos)?;
-        self.end_gap_locked = false;
-        Ok(())
     }
 }

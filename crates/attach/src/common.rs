@@ -108,16 +108,7 @@ pub fn parse_fields(
 
 /// Extracts the values of `fields` from a record.
 pub fn field_values(record: &Record, fields: &[FieldId]) -> Result<Vec<Value>> {
-    fields
-        .iter()
-        .map(|&f| {
-            record
-                .values
-                .get(f as usize)
-                .cloned()
-                .ok_or_else(|| DmxError::InvalidArg(format!("no field {f}")))
-        })
-        .collect()
+    dmx_core::project_values(&record.values, Some(fields))
 }
 
 /// Smallest byte string greater than every string with prefix `b`

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    PathChoice, RelationDescriptor, ScanItem, ScanOps,
+    KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps, TreeEntries, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_types::{
@@ -313,7 +313,7 @@ impl Attachment for HashIndex {
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         instance: &AttachmentInstance,
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
@@ -331,13 +331,14 @@ impl Attachment for HashIndex {
             Some(s) => Bound::Excluded(s),
             None => Bound::Unbounded,
         };
-        Ok(Box::new(HashScan {
-            tree,
+        let range = KeyRange {
             lo: Bound::Included(prefix),
             hi,
+        };
+        let entries = HashEntries {
             nfields: d.fields.len(),
-            after: None,
-        }))
+        };
+        Ok(Box::new(TreeScan::new(&tree, range, rd.id, entries)))
     }
 
     fn estimate(
@@ -392,52 +393,20 @@ impl Attachment for HashIndex {
     }
 }
 
-struct HashScan {
-    tree: BTree,
-    lo: Bound<Vec<u8>>,
-    hi: Bound<Vec<u8>>,
+/// Hash entries: `hash(8) ∥ enc(values) ∥ record key → record key`. The
+/// indexed values are recoverable, so the probe covers them. Hash order
+/// is no key order, so the entries are not gap-lockable.
+struct HashEntries {
     nfields: usize,
-    after: Option<Vec<u8>>,
 }
 
-impl ScanOps for HashScan {
-    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let bound = match &self.after {
-            Some(k) => Bound::Excluded(k.as_slice()),
-            None => match &self.lo {
-                Bound::Included(b) => Bound::Included(b.as_slice()),
-                Bound::Excluded(b) => Bound::Excluded(b.as_slice()),
-                Bound::Unbounded => Bound::Unbounded,
-            },
-        };
-        let Some((key, value)) = self.tree.seek(bound)? else {
-            return Ok(None);
-        };
-        let in_hi = match &self.hi {
-            Bound::Unbounded => true,
-            Bound::Included(h) => key <= *h,
-            Bound::Excluded(h) => key < *h,
-        };
-        if !in_hi {
-            return Ok(None);
-        }
-        // key = hash(8) ∥ enc(values) ∥ record_key: the indexed values are
-        // recoverable, so the probe covers them.
+impl TreeEntries for HashEntries {
+    fn item(&self, _ctx: &ExecCtx<'_>, key: Vec<u8>, value: Vec<u8>) -> Result<Option<ScanItem>> {
         let covered =
             dmx_types::key::decode_values(tail(&key, 8, "hash index key")?, self.nfields)?;
-        self.after = Some(key);
         Ok(Some(ScanItem {
             key: RecordKey::new(value),
             values: Some(covered),
         }))
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        crate::common_position::encode(self.after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = crate::common_position::decode(pos)?;
-        Ok(())
     }
 }

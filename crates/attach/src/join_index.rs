@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor,
-    ScanItem, ScanOps,
+    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, KeyRange,
+    RelationDescriptor, ScanItem, ScanOps, TreeEntries, TreeScan,
 };
 use dmx_types::{
     key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey,
@@ -480,7 +480,7 @@ impl Attachment for JoinIndex {
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         instance: &AttachmentInstance,
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
@@ -491,41 +491,24 @@ impl Attachment for JoinIndex {
             ));
         }
         let tree = Self::tree(ctx.services(), &d, TREE_PAIRS);
-        Ok(Box::new(PairScan {
-            cursor_after: None,
-            tree,
-        }))
+        Ok(Box::new(TreeScan::new(
+            &tree,
+            KeyRange::all(),
+            rd.id,
+            PairEntries,
+        )))
     }
 }
 
-struct PairScan {
-    tree: BTree,
-    cursor_after: Option<Vec<u8>>,
-}
+/// Join-index pair entries: the value holds `(left key, right key)`.
+struct PairEntries;
 
-impl ScanOps for PairScan {
-    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let bound = match &self.cursor_after {
-            Some(k) => Bound::Excluded(k.as_slice()),
-            None => Bound::Unbounded,
-        };
-        let Some((key, value)) = self.tree.seek(bound)? else {
-            return Ok(None);
-        };
-        self.cursor_after = Some(key);
+impl TreeEntries for PairEntries {
+    fn item(&self, _ctx: &ExecCtx<'_>, _key: Vec<u8>, value: Vec<u8>) -> Result<Option<ScanItem>> {
         let (lkey, rkey) = decode_pair_value(&value)?;
         Ok(Some(ScanItem {
             key: RecordKey::new(lkey.to_vec()),
             values: Some(vec![Value::Bytes(rkey.to_vec())]),
         }))
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        crate::common_position::encode(self.cursor_after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.cursor_after = crate::common_position::decode(pos)?;
-        Ok(())
     }
 }

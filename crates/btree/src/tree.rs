@@ -380,6 +380,7 @@ impl BTree {
             tree: self.clone(),
             next_bound: lo,
             hi,
+            beyond: None,
         }
     }
 
@@ -430,6 +431,8 @@ pub struct BTreeCursor {
     tree: BTree,
     next_bound: Bound<Vec<u8>>,
     hi: Bound<Vec<u8>>,
+    /// The first entry past `hi`, when the last step stopped at one.
+    beyond: Option<(Vec<u8>, Vec<u8>)>,
 }
 
 impl BTreeCursor {
@@ -438,12 +441,11 @@ impl BTreeCursor {
     /// keeps the I/O error path explicit at every call site.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        let bound = match &self.next_bound {
-            Bound::Included(k) => Bound::Included(k.as_slice()),
-            Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let Some((k, v)) = self.tree.seek(bound)? else {
+        self.beyond = None;
+        let Some((k, v)) = self
+            .tree
+            .seek(self.next_bound.as_ref().map(Vec::as_slice))?
+        else {
             return Ok(None);
         };
         let in_hi = match &self.hi {
@@ -452,10 +454,20 @@ impl BTreeCursor {
             Bound::Excluded(h) => k.as_slice() < h.as_slice(),
         };
         if !in_hi {
+            self.beyond = Some((k, v));
             return Ok(None);
         }
         self.next_bound = Bound::Excluded(k.clone());
         Ok(Some((k, v)))
+    }
+
+    /// The entry just past the upper bound when the last [`next`]
+    /// stopped there; `None` when it ran off the end of the tree (or
+    /// returned an entry).
+    ///
+    /// [`next`]: BTreeCursor::next
+    pub fn boundary(&self) -> Option<&(Vec<u8>, Vec<u8>)> {
+        self.beyond.as_ref()
     }
 
     /// The key the cursor will resume after (its saved position).
@@ -583,6 +595,13 @@ mod tests {
         );
         assert_eq!(collect(Bound::Included(k(95)), Bound::Unbounded).len(), 5);
         assert_eq!(collect(Bound::Unbounded, Bound::Excluded(k(0))).len(), 0);
+        // exhaustion reports the first entry past the bound, or none at EOF
+        let mut cur = t.range(Bound::Included(k(10)), Bound::Excluded(k(12)));
+        while cur.next().unwrap().is_some() {}
+        assert_eq!(cur.boundary().map(|(key, _)| key.clone()), Some(k(12)));
+        let mut cur = t.range(Bound::Included(k(98)), Bound::Unbounded);
+        while cur.next().unwrap().is_some() {}
+        assert!(cur.boundary().is_none());
     }
 
     #[test]

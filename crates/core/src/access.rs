@@ -9,16 +9,26 @@
 //! scan just after it; every scan is closed at transaction termination;
 //! and positions are saved when a rollback point is established and
 //! restored after a partial rollback.
+//!
+//! Every B-tree-backed access path scans through one [`TreeScan`]: it
+//! owns the key-sequential walk, the range bound, the scan-position
+//! codec and the next-key (gap) locking protocol, and the access path
+//! supplies only what one tree entry means ([`TreeEntries`]). Writers
+//! take their gap locks through [`lock_write_gaps`], so the per-key
+//! record-before-gap lock order lives in this module alone.
 
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dmx_btree::{BTree, BTreeCursor};
+use dmx_lock::{LockMode, LockName};
 use dmx_types::sync::Mutex;
 
 use dmx_types::{
-    AttInstanceId, AttTypeId, DmxError, RecordKey, Rect, Result, ScanId, TxnId, Value,
+    AttInstanceId, AttTypeId, DmxError, FileId, RecordKey, Rect, RelationId, Result, ScanId, TxnId,
+    Value,
 };
 
 use crate::context::ExecCtx;
@@ -165,6 +175,224 @@ pub trait ScanOps: Send {
     fn set_range_locking(&mut self, _on: bool) {}
 }
 
+/// Serializes a key-sequential scan position — the one codec every scan
+/// uses: `[0]` = at the start, `[1] ∥ key` = just after `key`.
+pub fn encode_position(after: Option<&[u8]>) -> Vec<u8> {
+    match after {
+        None => vec![0],
+        Some(k) => {
+            let mut v = Vec::with_capacity(1 + k.len());
+            v.push(1);
+            v.extend_from_slice(k);
+            v
+        }
+    }
+}
+
+/// Parses a position written by [`encode_position`].
+pub fn decode_position(pos: &[u8]) -> Result<Option<Vec<u8>>> {
+    match pos.split_first() {
+        Some((0, _)) => Ok(None),
+        Some((1, rest)) => Ok(Some(rest.to_vec())),
+        _ => Err(DmxError::Corrupt("bad scan position".into())),
+    }
+}
+
+/// One step of the next-key protocol, in the per-key order every
+/// participant shares — locking scans (S) and writers (X) alike: the
+/// record lock on `record`, when given, before the lock on the gap named
+/// by `gap` (`None` names the EOF gap past the last key). A writer that
+/// holds a key's record X while asking for gaps and a scan that takes
+/// the same key's record S before its gap S cannot deadlock across the
+/// pair.
+fn lock_key_gap(
+    ctx: &ExecCtx<'_>,
+    rel: RelationId,
+    file: FileId,
+    record: Option<&RecordKey>,
+    gap: Option<&[u8]>,
+    mode: LockMode,
+) -> Result<()> {
+    if let Some(r) = record {
+        ctx.lock_record(rel, r, mode)?;
+    }
+    ctx.lock(LockName::gap(rel, file, gap), mode)
+}
+
+/// X-locks the gaps a write at `key` of `tree` changes, so a locking
+/// range scan over either interval conflicts (phantom fencing): the gap
+/// named by `key` itself when the write removes the key (its gap merges
+/// into its successor's), then the gap named by the key's in-tree
+/// successor, which an insert splits. `record`, when given, is the
+/// writer's record X, taken before any gap. Snapshot readers take no
+/// gap locks and are never blocked by these.
+pub fn lock_write_gaps(
+    ctx: &ExecCtx<'_>,
+    rel: RelationId,
+    tree: &BTree,
+    record: Option<&RecordKey>,
+    key: &[u8],
+    removes: bool,
+) -> Result<()> {
+    let file = tree.root().file;
+    let mut record = record;
+    if removes {
+        lock_key_gap(ctx, rel, file, record.take(), Some(key), LockMode::X)?;
+    }
+    let succ = tree.seek(Bound::Excluded(key))?.map(|(k, _)| k);
+    lock_key_gap(ctx, rel, file, record, succ.as_deref(), LockMode::X)
+}
+
+/// The access-path half of a [`TreeScan`]: what one B-tree entry means.
+pub trait TreeEntries: Send {
+    /// The scan item for the entry `(key, value)`, or `None` when the
+    /// entry does not qualify (the scan still moves past it).
+    fn item(&self, ctx: &ExecCtx<'_>, key: Vec<u8>, value: Vec<u8>) -> Result<Option<ScanItem>>;
+
+    /// True when the tree's key order is one writers fence with
+    /// [`lock_write_gaps`], so a locking scan must take gap locks.
+    fn gap_lockable(&self) -> bool {
+        false
+    }
+
+    /// The record key whose record lock pairs with a gap-lockable
+    /// entry's gap lock. Default: the entry key is the record key.
+    fn locked_record(&self, key: &[u8], _value: &[u8]) -> RecordKey {
+        RecordKey::new(key.to_vec())
+    }
+
+    /// As [`ScanOps::items_are_record_keys`].
+    fn items_are_record_keys(&self) -> bool {
+        true
+    }
+
+    /// As [`ScanOps::supports_versioned_read`].
+    fn supports_versioned_read(&self) -> bool {
+        false
+    }
+
+    /// As [`ScanOps::item_from_version`]; `range` is the scan's range
+    /// over entry keys.
+    fn item_from_version(
+        &self,
+        _ctx: &ExecCtx<'_>,
+        _range: &KeyRange,
+        _key: &RecordKey,
+        _values: &[Value],
+    ) -> Result<Option<ScanItem>> {
+        Err(DmxError::Unsupported(
+            "scan does not support versioned reads".into(),
+        ))
+    }
+}
+
+/// The key-sequential scan over one B-tree range shared by every
+/// tree-backed access path.
+///
+/// With range locking on (gap-lockable entries, locking dispatch only),
+/// each entry the scan passes gets its record S then the gap below it S
+/// — even when the entry is then filtered out, since an insert landing
+/// there is a phantom. On exhaustion the boundary entry's record and gap
+/// (past the range) or the EOF gap (past the last key) is locked once.
+pub struct TreeScan<E> {
+    cursor: BTreeCursor,
+    range: KeyRange,
+    rel: RelationId,
+    file: FileId,
+    entries: E,
+    range_lock: bool,
+    end_gap_locked: bool,
+}
+
+impl<E: TreeEntries> TreeScan<E> {
+    /// A scan of `tree` over `range`; `rel` names the relation the gap
+    /// locks belong to.
+    pub fn new(tree: &BTree, range: KeyRange, rel: RelationId, entries: E) -> Self {
+        TreeScan {
+            cursor: tree.range(range.lo.clone(), range.hi.clone()),
+            file: tree.root().file,
+            range,
+            rel,
+            entries,
+            range_lock: false,
+            end_gap_locked: false,
+        }
+    }
+
+    fn lock_entry(&self, ctx: &ExecCtx<'_>, key: &[u8], value: &[u8]) -> Result<()> {
+        let record = self.entries.locked_record(key, value);
+        lock_key_gap(
+            ctx,
+            self.rel,
+            self.file,
+            Some(&record),
+            Some(key),
+            LockMode::S,
+        )
+    }
+}
+
+impl<E: TreeEntries> ScanOps for TreeScan<E> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
+        loop {
+            let Some((key, value)) = self.cursor.next()? else {
+                if self.range_lock && !self.end_gap_locked {
+                    self.end_gap_locked = true;
+                    match self.cursor.boundary() {
+                        Some((k, v)) => self.lock_entry(ctx, k, v)?,
+                        None => lock_key_gap(ctx, self.rel, self.file, None, None, LockMode::S)?,
+                    }
+                }
+                return Ok(None);
+            };
+            if self.range_lock {
+                self.lock_entry(ctx, &key, &value)?;
+            }
+            if let Some(item) = self.entries.item(ctx, key, value)? {
+                return Ok(Some(item));
+            }
+        }
+    }
+
+    fn save_position(&self) -> Vec<u8> {
+        match self.cursor.position() {
+            Bound::Excluded(k) => encode_position(Some(k)),
+            _ => encode_position(None),
+        }
+    }
+
+    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
+        self.cursor.set_position(match decode_position(pos)? {
+            Some(k) => Bound::Excluded(k),
+            None => self.range.lo.clone(),
+        });
+        self.end_gap_locked = false;
+        Ok(())
+    }
+
+    fn items_are_record_keys(&self) -> bool {
+        self.entries.items_are_record_keys()
+    }
+
+    fn supports_versioned_read(&self) -> bool {
+        self.entries.supports_versioned_read()
+    }
+
+    fn item_from_version(
+        &self,
+        ctx: &ExecCtx<'_>,
+        key: &RecordKey,
+        values: &[Value],
+    ) -> Result<Option<ScanItem>> {
+        self.entries
+            .item_from_version(ctx, &self.range, key, values)
+    }
+
+    fn set_range_locking(&mut self, on: bool) {
+        self.range_lock = on && self.entries.gap_lockable();
+    }
+}
+
 type SharedScan = Arc<Mutex<Box<dyn ScanOps>>>;
 
 /// Tracks every open scan per transaction so the common system can (a)
@@ -288,6 +516,17 @@ mod tests {
         let e = KeyRange::exact(vec![7]);
         assert!(e.contains(&[7]));
         assert!(!e.contains(&[7, 0]));
+    }
+
+    #[test]
+    fn position_roundtrip() {
+        assert_eq!(decode_position(&encode_position(None)).unwrap(), None);
+        assert_eq!(
+            decode_position(&encode_position(Some(b"abc"))).unwrap(),
+            Some(b"abc".to_vec())
+        );
+        assert!(decode_position(&[]).is_err());
+        assert!(decode_position(&[7]).is_err());
     }
 
     // A scriptable scan over a vector of numbered items; position = index.

@@ -11,6 +11,7 @@ use dmx_expr::Expr;
 use dmx_types::FieldId;
 
 use crate::access::{AccessPath, AccessQuery};
+use crate::descriptor::RelationDescriptor;
 
 /// Cost model weights: one page transfer costs `IO_UNIT`, one record
 /// touched costs `CPU_UNIT`, one extension procedure call costs
@@ -91,6 +92,33 @@ impl PathChoice {
             applied: Vec::new(),
             ordering: None,
         }
+    }
+}
+
+/// The estimate every storage method shares: a scan of `records` rows
+/// at `cost` that applies each pushed-down predicate itself, so
+/// `rows_out` is `records` scaled by the predicates' selectivity product
+/// (from maintained statistics when published). A storage method
+/// supplies only its own I/O, CPU and row factors.
+pub fn scan_estimate(
+    rd: &RelationDescriptor,
+    preds: &[Expr],
+    records: u64,
+    cost: Cost,
+) -> PathChoice {
+    let ts = rd.stats.table_stats();
+    let sel: f64 = preds
+        .iter()
+        .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
+        .product();
+    PathChoice {
+        path: AccessPath::StorageMethod,
+        query: AccessQuery::All,
+        cost,
+        rows_out: (records as f64 * sel).max(0.0),
+        covered: None,
+        applied: preds.to_vec(),
+        ordering: None,
     }
 }
 

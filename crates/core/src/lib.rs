@@ -51,12 +51,15 @@ pub mod storage_method;
 pub mod sysrel;
 pub mod undo;
 
-pub use access::{AccessPath, AccessQuery, KeyRange, ScanItem, ScanManager, ScanOps, SpatialOp};
+pub use access::{
+    decode_position, encode_position, lock_write_gaps, AccessPath, AccessQuery, KeyRange, ScanItem,
+    ScanManager, ScanOps, SpatialOp, TreeEntries, TreeScan,
+};
 pub use attachment::Attachment;
 pub use auth::{AuthManager, Privilege};
 pub use catalog::Catalog;
 pub use context::ExecCtx;
-pub use cost::{Cost, PathChoice};
+pub use cost::{scan_estimate, Cost, PathChoice};
 pub use database::{
     Database, DatabaseConfig, DatabaseEnv, HookArgs, HookFn, IncidentReport, SysProviderFn,
 };

@@ -242,8 +242,22 @@ impl BufferPool {
 
     /// Allocates a fresh page in `file` and pins it, zeroed and dirty.
     pub fn new_page(self: &Arc<Self>, file: FileId) -> Result<PinnedPage> {
-        let pid = self.disk.allocate_page(file)?;
+        self.new_page_with(file, |_, _| Ok(()))
+    }
+
+    /// Allocates a fresh page in `file`, lets `init` write it from zeroes
+    /// and pins it, dirty. No other thread reaches the page before `init`
+    /// returns: the page is allocated and mapped under the map lock, and
+    /// `init` runs under the frame's write latch, taken before that lock
+    /// is released — so a concurrent `fetch` of the new page number (by
+    /// an appender that read the file's page count, say) waits for it.
+    pub fn new_page_with(
+        self: &Arc<Self>,
+        file: FileId,
+        init: impl FnOnce(PageId, &mut Page) -> Result<()>,
+    ) -> Result<PinnedPage> {
         let mut map = self.map.lock();
+        let pid = self.disk.allocate_page(file)?;
         let idx = self.claim_victim(&mut map, pid)?;
         let frame = &self.frames[idx];
         frame.pin_count.store(1, Ordering::Release);
@@ -254,12 +268,14 @@ impl BufferPool {
         let mut guard = frame.page.write();
         drop(map);
         *guard = Page::new();
+        let res = init(pid, &mut guard);
         drop(guard);
-        Ok(PinnedPage {
+        let pin = PinnedPage {
             pool: Arc::clone(self),
             frame: idx,
             pid,
-        })
+        };
+        res.map(|()| pin)
     }
 
     /// Reads `pid` from disk with checksum verification and a bounded

@@ -11,11 +11,11 @@ use std::sync::Arc;
 
 use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
-    project_values, AccessPath, AccessQuery, CommonServices, Cost, ExecCtx, KeyRange, PathChoice,
-    RelationDescriptor, ScanItem, ScanOps, StorageMethod,
+    lock_write_gaps, project_values, scan_estimate, AccessPath, AccessQuery, CommonServices, Cost,
+    ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps, StorageMethod,
+    TreeEntries, TreeScan,
 };
 use dmx_expr::{analyze, CmpOp, Expr, SargOp};
-use dmx_lock::{LockMode, LockName};
 use dmx_types::{
     key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey,
     RelationId, Result, Schema, Value,
@@ -26,7 +26,7 @@ use crate::ops::{
     decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
     OP_UPDATE,
 };
-use crate::util::{decode_position, encode_position, filter_project};
+use crate::util::filter_project;
 
 /// The B-tree storage method singleton.
 pub struct BTreeStorage;
@@ -123,23 +123,6 @@ impl BTreeStorage {
     fn log(ctx: &ExecCtx<'_>, rd: &RelationDescriptor, op: u8, payload: Vec<u8>) -> Lsn {
         ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, op, payload)
     }
-
-    /// X-locks the gap a write at `key` splits (insert) or merges
-    /// (delete): the gap is named by the key's in-tree successor, with
-    /// an EOF sentinel past the last key. Conflicts with the S gap
-    /// locks a locking range scan leaves across the intervals it read,
-    /// fencing phantoms; snapshot readers take no gap locks and are
-    /// never blocked by this.
-    fn lock_successor_gap(
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        d: &BtDesc,
-        tree: &BTree,
-        key: &[u8],
-    ) -> Result<()> {
-        let succ = tree.seek(Bound::Excluded(key))?.map(|(k, _)| k);
-        ctx.lock(LockName::gap(rd.id, d.file, succ.as_deref()), LockMode::X)
-    }
 }
 
 impl StorageMethod for BTreeStorage {
@@ -203,13 +186,9 @@ impl StorageMethod for BTreeStorage {
                 "btree storage key {key:?} already exists"
             )));
         }
-        // Record before gap: the per-key acquisition order shared with
-        // locking scans (record S, then gap S), so a writer and a scan
-        // meeting on one key cannot deadlock across the pair. The DML
-        // layer re-locks the key after this call returns; that is a
-        // re-grant.
-        ctx.lock_record(rd.id, &key, LockMode::X)?;
-        Self::lock_successor_gap(ctx, rd, &d, &tree, key.as_bytes())?;
+        // Record X, then the gap the key splits. The DML layer re-locks
+        // the key after this call returns; that is a re-grant.
+        lock_write_gaps(ctx, rd.id, &tree, Some(&key), key.as_bytes(), false)?;
         let bytes = record.encode();
         let lsn = Self::log(
             ctx,
@@ -257,17 +236,12 @@ impl StorageMethod for BTreeStorage {
             )));
         }
         // The relocation deletes the old key (merging its gap into its
-        // successor's) and inserts the new one (splitting a gap).
-        // Record-before-gap order: X the destination key ahead of every
-        // gap acquisition (the old key's record X is already held by the
-        // DML layer); the DML layer's post-return lock is a re-grant.
-        ctx.lock_record(rd.id, &new_key, LockMode::X)?;
-        ctx.lock(
-            LockName::gap(rd.id, d.file, Some(key.as_bytes())),
-            LockMode::X,
-        )?;
-        Self::lock_successor_gap(ctx, rd, &d, &tree, key.as_bytes())?;
-        Self::lock_successor_gap(ctx, rd, &d, &tree, new_key.as_bytes())?;
+        // successor's) and inserts the new one (splitting a gap). The
+        // destination key's record X comes ahead of every gap (the old
+        // key's record X is already held by the DML layer); the DML
+        // layer's post-return lock is a re-grant.
+        lock_write_gaps(ctx, rd.id, &tree, Some(&new_key), key.as_bytes(), true)?;
+        lock_write_gaps(ctx, rd.id, &tree, None, new_key.as_bytes(), false)?;
         let lsn = Self::log(
             ctx,
             rd,
@@ -298,13 +272,7 @@ impl StorageMethod for BTreeStorage {
         let old_bytes = tree
             .get(key.as_bytes())?
             .ok_or_else(|| DmxError::NotFound(format!("btree record {key:?}")))?;
-        // Deleting merges the gap named by `key` into its successor's:
-        // X both names so range scans spanning either interval conflict.
-        ctx.lock(
-            LockName::gap(rd.id, d.file, Some(key.as_bytes())),
-            LockMode::X,
-        )?;
-        Self::lock_successor_gap(ctx, rd, &d, &tree, key.as_bytes())?;
+        lock_write_gaps(ctx, rd.id, &tree, None, key.as_bytes(), true)?;
         let lsn = Self::log(
             ctx,
             rd,
@@ -341,18 +309,12 @@ impl StorageMethod for BTreeStorage {
     ) -> Result<Box<dyn ScanOps>> {
         let d = Self::desc(rd)?;
         let tree = Self::tree(ctx.services(), &d);
-        Ok(Box::new(BtScan {
-            tree,
-            rel: rd.id,
-            file: d.file,
-            lo: range.lo,
-            hi: range.hi,
-            pred,
-            fields,
-            after: None,
-            range_lock: false,
-            end_gap_locked: false,
-        }))
+        Ok(Box::new(TreeScan::new(
+            &tree,
+            range,
+            rd.id,
+            BtEntries { pred, fields },
+        )))
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
@@ -363,10 +325,6 @@ impl StorageMethod for BTreeStorage {
         let pages = rd.stats.pages().max(rd.stats.records() / 40 + 1);
         let records = rd.stats.records();
         let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
         // Recognize a sargable constraint on the leading key field: the
         // tree then serves a range rather than a full scan.
         let sargs = preds
@@ -374,9 +332,8 @@ impl StorageMethod for BTreeStorage {
             .filter_map(analyze::sargable)
             .filter(|s| s.field == d.key_fields[0])
             .collect::<Vec<_>>();
-        let mut choice = PathChoice::full_scan(AccessPath::StorageMethod, pages, records);
-        choice.applied = preds.to_vec();
-        choice.rows_out = records as f64 * sel;
+        let cost = Cost::new(pages as f64, records as f64);
+        let mut choice = scan_estimate(rd, preds, records, cost);
         choice.ordering = Some(d.key_fields.clone());
         if let Some(s) = sargs.first() {
             let height = (records.max(2) as f64).log2() / 7.0 + 1.0; // ~fan-out 128
@@ -399,7 +356,7 @@ impl StorageMethod for BTreeStorage {
             choice.cost = Cost::new(height + leaf_pages, records as f64 * frac);
             // overall output is bounded by both the key-range fraction and
             // the residual predicate selectivity
-            choice.rows_out = records as f64 * sel.min(frac);
+            choice.rows_out = choice.rows_out.min(records as f64 * frac);
         }
         choice
     }
@@ -504,80 +461,27 @@ fn range_for(op: CmpOp, v: &Value) -> KeyRange {
     }
 }
 
-struct BtScan {
-    tree: BTree,
-    rel: RelationId,
-    file: FileId,
-    lo: Bound<Vec<u8>>,
-    hi: Bound<Vec<u8>>,
+/// Btree-SM entries: `record key → encoded record`, filtered and
+/// projected in place.
+struct BtEntries {
     pred: Option<Expr>,
     fields: Option<Vec<FieldId>>,
-    after: Option<Vec<u8>>,
-    /// When set (locking-scan dispatch only), S-lock the gap below each
-    /// key the scan passes so concurrent inserts into the scanned range
-    /// conflict (phantom fencing). Raw internal scans leave it off.
-    range_lock: bool,
-    /// The boundary gap past the last in-range key is locked once.
-    end_gap_locked: bool,
 }
 
-impl ScanOps for BtScan {
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        loop {
-            let bound = match &self.after {
-                Some(k) => Bound::Excluded(k.as_slice()),
-                None => match &self.lo {
-                    Bound::Included(b) => Bound::Included(b.as_slice()),
-                    Bound::Excluded(b) => Bound::Excluded(b.as_slice()),
-                    Bound::Unbounded => Bound::Unbounded,
-                },
-            };
-            let Some((key, bytes)) = self.tree.seek(bound)? else {
-                if self.range_lock && !self.end_gap_locked {
-                    self.end_gap_locked = true;
-                    // EOF: the gap from the last key to end-of-tree.
-                    ctx.lock(LockName::gap(self.rel, self.file, None), LockMode::S)?;
-                }
-                return Ok(None);
-            };
-            let in_hi = match &self.hi {
-                Bound::Unbounded => true,
-                Bound::Included(h) => key <= *h,
-                Bound::Excluded(h) => key < *h,
-            };
-            if !in_hi {
-                if self.range_lock && !self.end_gap_locked {
-                    self.end_gap_locked = true;
-                    // The gap between the last in-range key and the
-                    // first key beyond the range boundary. Record before
-                    // gap, matching the writers' per-key order (a delete
-                    // of the boundary key holds its record X while
-                    // asking for this gap).
-                    ctx.lock_record(self.rel, &RecordKey::new(key.clone()), LockMode::S)?;
-                    ctx.lock(LockName::gap(self.rel, self.file, Some(&key)), LockMode::S)?;
-                }
-                return Ok(None);
-            }
-            if self.range_lock {
-                // The gap below this key (even when the predicate then
-                // filters it): an insert landing there is a phantom.
-                // Record S first: writers take record X then gap X on
-                // the same key, and a shared per-key order keeps a scan
-                // and a delete from deadlocking across the pair. The
-                // LockingScan wrapper's later record S is a re-grant.
-                ctx.lock_record(self.rel, &RecordKey::new(key.clone()), LockMode::S)?;
-                ctx.lock(LockName::gap(self.rel, self.file, Some(&key)), LockMode::S)?;
-            }
-            self.after = Some(key.clone());
-            if let Some(values) =
-                filter_project(ctx, &bytes, self.fields.as_deref(), self.pred.as_ref())?
-            {
-                return Ok(Some(ScanItem {
+impl TreeEntries for BtEntries {
+    fn item(&self, ctx: &ExecCtx<'_>, key: Vec<u8>, bytes: Vec<u8>) -> Result<Option<ScanItem>> {
+        Ok(
+            filter_project(ctx, &bytes, self.fields.as_deref(), self.pred.as_ref())?.map(
+                |values| ScanItem {
                     key: RecordKey::new(key),
                     values: Some(values),
-                }));
-            }
-        }
+                },
+            ),
+        )
+    }
+
+    fn gap_lockable(&self) -> bool {
+        true
     }
 
     fn supports_versioned_read(&self) -> bool {
@@ -587,23 +491,13 @@ impl ScanOps for BtScan {
     fn item_from_version(
         &self,
         ctx: &ExecCtx<'_>,
+        range: &KeyRange,
         key: &RecordKey,
         values: &[Value],
     ) -> Result<Option<ScanItem>> {
         // Version-sourced items (the snapshot delta sweep in particular)
         // are not pre-filtered by the tree traversal: re-check bounds.
-        let kb = key.as_bytes();
-        let in_lo = match &self.lo {
-            Bound::Unbounded => true,
-            Bound::Included(b) => kb >= b.as_slice(),
-            Bound::Excluded(b) => kb > b.as_slice(),
-        };
-        let in_hi = match &self.hi {
-            Bound::Unbounded => true,
-            Bound::Included(b) => kb <= b.as_slice(),
-            Bound::Excluded(b) => kb < b.as_slice(),
-        };
-        if !in_lo || !in_hi {
+        if !range.contains(key.as_bytes()) {
             return Ok(None);
         }
         if let Some(p) = &self.pred {
@@ -615,19 +509,5 @@ impl ScanOps for BtScan {
             key: key.clone(),
             values: Some(project_values(values, self.fields.as_deref())?),
         }))
-    }
-
-    fn set_range_locking(&mut self, on: bool) {
-        self.range_lock = on;
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        encode_position(self.after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = decode_position(pos)?;
-        self.end_gap_locked = false;
-        Ok(())
     }
 }

@@ -16,8 +16,8 @@ use std::sync::Arc;
 use dmx_types::sync::RwLock;
 
 use dmx_core::{
-    AccessPath, CommonServices, Cost, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem,
-    ScanOps, StorageMethod,
+    decode_position, encode_position, project_values, scan_estimate, CommonServices, Cost, ExecCtx,
+    KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_types::{
@@ -26,7 +26,6 @@ use dmx_types::{
 use dmx_wal::ExtKind;
 
 use crate::ops::{decode_key, encode_key, encode_key_record, OP_DELETE, OP_INSERT, OP_UPDATE};
-use crate::util::{decode_position, encode_position};
 
 /// Rows fetched per simulated round trip during scans.
 pub const SCAN_BATCH: u64 = 100;
@@ -260,19 +259,7 @@ impl StorageMethod for ForeignStorage {
                 return Ok(None);
             }
         }
-        match fields {
-            None => Ok(Some(rec.values.clone())),
-            Some(ids) => ids
-                .iter()
-                .map(|&i| {
-                    rec.values
-                        .get(i as usize)
-                        .cloned()
-                        .ok_or_else(|| DmxError::InvalidArg(format!("no field {i}")))
-                })
-                .collect::<Result<Vec<_>>>()
-                .map(Some),
-        }
+        project_values(&rec.values, fields).map(Some)
     }
 
     fn open_scan(
@@ -297,22 +284,9 @@ impl StorageMethod for ForeignStorage {
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
         let records = rd.stats.records();
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
         let trips = (records / SCAN_BATCH + 1) as f64;
-        PathChoice {
-            path: AccessPath::StorageMethod,
-            query: dmx_core::AccessQuery::All,
-            // model a round trip as ~4 page transfers of latency
-            cost: Cost::new(trips * 4.0, records as f64),
-            rows_out: records as f64 * sel,
-            covered: None,
-            applied: preds.to_vec(),
-            ordering: None,
-        }
+        // model a round trip as ~4 page transfers of latency
+        scan_estimate(rd, preds, records, Cost::new(trips * 4.0, records as f64))
     }
 
     fn undo(
@@ -363,13 +337,9 @@ impl ScanOps for ForeignScan {
                 self.server.trip(); // fetch the next remote batch
             }
             self.fetched_since_trip += 1;
-            let lo: Bound<Vec<u8>> = match &self.after {
+            let lo = match &self.after {
                 Some(k) => Bound::Excluded(k.clone()),
-                None => match &self.range.lo {
-                    Bound::Included(b) => Bound::Included(b.clone()),
-                    Bound::Excluded(b) => Bound::Excluded(b.clone()),
-                    Bound::Unbounded => Bound::Unbounded,
-                },
+                None => self.range.lo.clone(),
             };
             let rows = self.table.read();
             let Some((key, rec)) = rows.range((lo, Bound::Unbounded)).next() else {
@@ -386,18 +356,7 @@ impl ScanOps for ForeignScan {
                     continue;
                 }
             }
-            let values = match &self.fields {
-                None => rec.values.clone(),
-                Some(ids) => ids
-                    .iter()
-                    .map(|&i| {
-                        rec.values
-                            .get(i as usize)
-                            .cloned()
-                            .ok_or_else(|| DmxError::InvalidArg(format!("no field {i}")))
-                    })
-                    .collect::<Result<Vec<_>>>()?,
-            };
+            let values = project_values(&rec.values, self.fields.as_deref())?;
             return Ok(Some(ScanItem {
                 key: RecordKey::new(key),
                 values: Some(values),

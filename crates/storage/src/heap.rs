@@ -15,8 +15,8 @@
 use std::sync::Arc;
 
 use dmx_core::{
-    AccessPath, CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, SalvagedRecords,
-    ScanItem, ScanOps, StorageMethod,
+    decode_position, encode_position, scan_estimate, CommonServices, Cost, ExecCtx, KeyRange,
+    PathChoice, RelationDescriptor, SalvagedRecords, ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_page::{BufferPool, SlottedPage};
@@ -30,7 +30,7 @@ use crate::ops::{
     decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
     OP_UPDATE,
 };
-use crate::util::{decode_position, encode_position, filter_project};
+use crate::util::filter_project;
 
 /// Page type tag for heap data pages.
 pub const PAGE_TYPE_HEAP: u8 = 3;
@@ -98,16 +98,19 @@ pub(crate) fn append_record(
             return Ok((pages - 1, slot, false));
         }
     }
-    // Allocate a fresh page.
-    let pin = pool.new_page(file)?;
-    let mut page = pin.write();
-    SlottedPage::init(&mut page);
-    page.set_page_type(page_type);
-    let page_no = pin.id().page_no;
-    let lsn = log(page_no, 0);
-    SlottedPage::insert_at(&mut page, 0, bytes)?;
-    page.set_lsn(lsn);
-    Ok((page_no, 0, true))
+    // Allocate a fresh page and append into it before any concurrent
+    // appender can latch it: one that read the new page count while the
+    // page was still zeroed would see room on it, and formatting the page
+    // afterwards would wipe that appender's record.
+    let pin = pool.new_page_with(file, |pid, page| {
+        SlottedPage::init(page);
+        page.set_page_type(page_type);
+        let lsn = log(pid.page_no, 0);
+        SlottedPage::insert_at(page, 0, bytes)?;
+        page.set_lsn(lsn);
+        Ok(())
+    })?;
+    Ok((pin.id().page_no, 0, true))
 }
 
 /// Physiological undo shared with the read-only storage method.
@@ -378,28 +381,13 @@ impl StorageMethod for HeapStorage {
         pred: Option<Expr>,
         fields: Option<Vec<FieldId>>,
     ) -> Result<Box<dyn ScanOps>> {
-        Ok(Box::new(HeapScan {
-            file: Self::file(rd)?,
-            range,
-            pred,
-            fields,
-            after: None,
-        }))
+        Ok(HeapScan::open(Self::file(rd)?, range, pred, fields, true))
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
-        let pages = rd.stats.pages();
         let records = rd.stats.records();
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
-        let mut c = PathChoice::full_scan(AccessPath::StorageMethod, pages, records);
-        c.rows_out = (records as f64 * sel).max(0.0);
-        // The heap applies the whole pushed-down predicate in the pool.
-        c.applied = preds.to_vec();
-        c
+        let cost = Cost::new(rd.stats.pages() as f64, records as f64);
+        scan_estimate(rd, preds, records, cost)
     }
 
     fn undo(
@@ -472,13 +460,35 @@ impl StorageMethod for HeapStorage {
 }
 
 /// RID-order key-sequential access with buffer-resident filtering.
-struct HeapScan {
+/// Shared with the read-only storage method.
+pub(crate) struct HeapScan {
     file: FileId,
     range: KeyRange,
     pred: Option<Expr>,
     fields: Option<Vec<FieldId>>,
     /// Position: the RID the scan is on/after.
     after: Option<(u32, u16)>,
+    /// Opts into lock-free snapshot reads.
+    versioned: bool,
+}
+
+impl HeapScan {
+    pub(crate) fn open(
+        file: FileId,
+        range: KeyRange,
+        pred: Option<Expr>,
+        fields: Option<Vec<FieldId>>,
+        versioned: bool,
+    ) -> Box<dyn ScanOps> {
+        Box::new(HeapScan {
+            file,
+            range,
+            pred,
+            fields,
+            after: None,
+            versioned,
+        })
+    }
 }
 
 impl ScanOps for HeapScan {
@@ -522,7 +532,7 @@ impl ScanOps for HeapScan {
     }
 
     fn supports_versioned_read(&self) -> bool {
-        true
+        self.versioned
     }
 
     fn item_from_version(

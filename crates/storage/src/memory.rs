@@ -17,8 +17,8 @@ use std::sync::Arc;
 use dmx_types::sync::RwLock;
 
 use dmx_core::{
-    AccessPath, CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem,
-    ScanOps, StorageMethod,
+    decode_position, encode_position, project_values, scan_estimate, CommonServices, Cost, ExecCtx,
+    KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_types::{
@@ -27,7 +27,6 @@ use dmx_types::{
 use dmx_wal::ExtKind;
 
 use crate::ops::{decode_key, encode_key, encode_key_record, OP_DELETE, OP_INSERT, OP_UPDATE};
-use crate::util::{decode_position, encode_position};
 
 struct Table {
     rows: RwLock<BTreeMap<Vec<u8>, Record>>,
@@ -187,7 +186,7 @@ impl StorageMethod for MemoryStorage {
                 return Ok(None);
             }
         }
-        Ok(Some(project(rec, fields)?))
+        Ok(Some(project_values(&rec.values, fields)?))
     }
 
     fn open_scan(
@@ -209,16 +208,8 @@ impl StorageMethod for MemoryStorage {
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
         let records = rd.stats.records();
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
-        let mut c = PathChoice::full_scan(AccessPath::StorageMethod, 0, records);
-        c.cost.io = 0.0; // main memory: no page transfers
-        c.rows_out = records as f64 * sel;
-        c.applied = preds.to_vec();
-        c
+        // main memory: no page transfers
+        scan_estimate(rd, preds, records, Cost::new(0.0, records as f64))
     }
 
     fn undo(
@@ -248,21 +239,6 @@ impl StorageMethod for MemoryStorage {
     }
 }
 
-fn project(rec: &Record, fields: Option<&[FieldId]>) -> Result<Vec<Value>> {
-    match fields {
-        None => Ok(rec.values.clone()),
-        Some(ids) => ids
-            .iter()
-            .map(|&i| {
-                rec.values
-                    .get(i as usize)
-                    .cloned()
-                    .ok_or_else(|| DmxError::InvalidArg(format!("no field {i}")))
-            })
-            .collect(),
-    }
-}
-
 struct MemScan {
     table: Arc<Table>,
     range: KeyRange,
@@ -274,13 +250,9 @@ struct MemScan {
 impl ScanOps for MemScan {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
         loop {
-            let lo: Bound<Vec<u8>> = match &self.after {
+            let lo = match &self.after {
                 Some(k) => Bound::Excluded(k.clone()),
-                None => match &self.range.lo {
-                    Bound::Included(b) => Bound::Included(b.clone()),
-                    Bound::Excluded(b) => Bound::Excluded(b.clone()),
-                    Bound::Unbounded => Bound::Unbounded,
-                },
+                None => self.range.lo.clone(),
             };
             let rows = self.table.rows.read();
             let Some((key, rec)) = rows.range((lo, Bound::Unbounded)).next() else {
@@ -297,7 +269,7 @@ impl ScanOps for MemScan {
                     continue;
                 }
             }
-            let values = project(&rec, self.fields.as_deref())?;
+            let values = project_values(&rec.values, self.fields.as_deref())?;
             return Ok(Some(ScanItem {
                 key: RecordKey::new(key),
                 values: Some(values),

@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use dmx_core::sysrel;
 use dmx_core::{
-    AccessPath, AccessQuery, Cost, Database, ExecCtx, KeyRange, PathChoice, RelationDescriptor,
-    ScanItem, ScanOps, StorageMethod,
+    scan_estimate, Cost, Database, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem,
+    ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_lock::LockName;
@@ -440,20 +440,7 @@ impl StorageMethod for SystemStorage {
         // Stats are never maintained for published state; assume a small
         // in-memory relation (one "page", a nominal row count).
         let records = rd.stats.records().max(32);
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
-        PathChoice {
-            path: AccessPath::StorageMethod,
-            query: AccessQuery::All,
-            cost: Cost::new(1.0, records as f64),
-            rows_out: records as f64 * sel,
-            covered: None,
-            applied: preds.to_vec(),
-            ordering: None,
-        }
+        scan_estimate(rd, preds, records, Cost::new(1.0, records as f64))
     }
 
     fn undo(

@@ -6,18 +6,21 @@
 // discipline: a broken fixture should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Database,
-    DatabaseConfig, DatabaseEnv, ExecCtx, ExtensionRegistry, RelationDescriptor,
+    DatabaseConfig, DatabaseEnv, ExecCtx, ExtensionRegistry, KeyRange, RelationDescriptor,
+    ScanItem,
 };
 use dmx_expr::{CmpOp, Expr};
 use dmx_storage::register_builtin_storage;
 use dmx_types::{
-    AttrList, ColumnDef, DataType, DmxError, Lsn, Record, RecordKey, RelationId, Result, Schema,
-    Value,
+    key::encode_values, AttrList, ColumnDef, DataType, DmxError, Lsn, Record, RecordKey,
+    RelationId, Result, Schema, Value,
 };
 
 fn schema() -> Schema {
@@ -568,43 +571,267 @@ fn veto_triggers_partial_rollback_of_storage_op() {
     assert_eq!(db.catalog().get(rel).unwrap().stats.records(), 1);
 }
 
-#[test]
-fn scan_positions_saved_and_restored_across_savepoint_rollback() {
-    let db = open_db();
-    let rel = make_rel(&db, "btree", "t");
+/// The relation behind the tree-backed scan tests: `emp` is keyed by
+/// `id` in the B-tree storage method and carries one instance of every
+/// tree-backed access path; `dept` is the join index's right side.
+struct TreePaths {
+    db: Arc<Database>,
+    emp: RelationId,
+    /// `dept` record key per name (the join pairs' right keys).
+    dept_keys: BTreeMap<String, RecordKey>,
+    /// Model of `emp`: id → name (salary = id).
+    rows: BTreeMap<i64, String>,
+}
+
+fn tree_paths() -> TreePaths {
+    let reg = registry();
+    dmx_attach::register_builtin_attachments(&reg).unwrap();
+    let db = Database::open_fresh(reg).unwrap();
+    let emp = make_rel(&db, "btree", "emp");
+    let dept_schema = Schema::new(vec![
+        ColumnDef::not_null("id", DataType::Int),
+        ColumnDef::not_null("name", DataType::Str),
+    ])
+    .unwrap();
+    let dept = db
+        .with_txn(|txn| db.create_relation(txn, "dept", dept_schema, "heap", &AttrList::new()))
+        .unwrap();
     db.with_txn(|txn| {
-        for i in 0..10 {
-            db.insert(txn, rel, rec(i, "x", 0.0))?;
+        for (name, params) in [
+            ("by_id", "fields=id"),
+            ("h_name", "fields=name"),
+            ("agg", "sum=salary, group_by=name"),
+            ("ji", "side=left, fields=name"),
+        ] {
+            let ty = match name {
+                "by_id" => "btree",
+                "h_name" => "hash",
+                "agg" => "aggregate",
+                _ => "joinindex",
+            };
+            db.create_attachment(txn, "emp", ty, name, &AttrList::parse(params).unwrap())?;
+        }
+        let right = AttrList::parse("side=right, fields=name, other=emp").unwrap();
+        db.create_attachment(txn, "dept", "joinindex", "ji", &right)
+    })
+    .unwrap();
+    let mut dept_keys = BTreeMap::new();
+    let mut rows = BTreeMap::new();
+    db.with_txn(|txn| {
+        for d in 0..4i64 {
+            let name = format!("n{d}");
+            let key = db.insert(
+                txn,
+                dept,
+                Record::new(vec![Value::Int(d), Value::from(name.as_str())]),
+            )?;
+            dept_keys.insert(name, key);
+        }
+        for i in 0..20i64 {
+            let name = format!("n{}", i % 4);
+            db.insert(txn, emp, rec(i, &name, i as f64))?;
+            rows.insert(i, name);
         }
         Ok(())
     })
     .unwrap();
-    let txn = db.begin();
-    let scan = db
-        .open_scan(
-            &txn,
-            rel,
-            AccessPath::StorageMethod,
-            AccessQuery::All,
-            None,
-            Some(vec![0]),
-        )
-        .unwrap();
-    // advance to id=1
-    for _ in 0..2 {
-        db.scan_next(&txn, scan).unwrap().unwrap();
+    TreePaths {
+        db,
+        emp,
+        dept_keys,
+        rows,
     }
-    db.savepoint(&txn, "sp").unwrap();
-    // advance further and do some work that will be rolled back
-    for _ in 0..3 {
-        db.scan_next(&txn, scan).unwrap().unwrap();
+}
+
+fn enc(v: impl Into<Value>) -> Vec<u8> {
+    encode_values(&[v.into()])
+}
+
+fn enc_bound<T: Clone + Into<Value>>(b: &Bound<T>) -> Bound<Vec<u8>> {
+    match b {
+        Bound::Included(v) => Bound::Included(enc(v.clone())),
+        Bound::Excluded(v) => Bound::Excluded(enc(v.clone())),
+        Bound::Unbounded => Bound::Unbounded,
     }
-    db.insert(&txn, rel, rec(100, "rolled", 0.0)).unwrap();
-    db.rollback_to_savepoint(&txn, "sp").unwrap();
-    // scan resumes where it was when the savepoint was established
-    let item = db.scan_next(&txn, scan).unwrap().unwrap();
-    assert_eq!(item.values.unwrap()[0], Value::Int(2));
-    db.commit(&txn).unwrap();
+}
+
+impl TreePaths {
+    fn path(&self, name: &str) -> AccessPath {
+        let rd = self.db.catalog().get(self.emp).unwrap();
+        let (t, inst) = rd.find_attachment(name).unwrap();
+        AccessPath::Attachment(t, inst.instance)
+    }
+
+    /// Every tree-backed path with the queries it serves and the item
+    /// stream the model predicts for each. The B-tree storage method,
+    /// the B-tree index and the aggregate run every bound kind; the hash
+    /// index answers only exact probes and the join index only full pair
+    /// scans.
+    fn cases(&self) -> Vec<(String, AccessPath, AccessQuery, Vec<ScanItem>)> {
+        use Bound::{Excluded, Included, Unbounded};
+        let id_item = |i: &i64| ScanItem {
+            key: RecordKey::new(enc(*i)),
+            values: Some(vec![Value::Int(*i)]),
+        };
+        let mut cases = Vec::new();
+        for (lo, hi) in [
+            (Included(3i64), Excluded(15i64)),
+            (Excluded(3), Included(15)),
+            (Unbounded, Included(9)),
+            (Excluded(10), Unbounded),
+            (Unbounded, Unbounded),
+        ] {
+            let want: Vec<ScanItem> = self.rows.range((lo, hi)).map(|(i, _)| id_item(i)).collect();
+            let query = AccessQuery::Range(KeyRange {
+                lo: enc_bound(&lo),
+                hi: enc_bound(&hi),
+            });
+            let sm = AccessPath::StorageMethod;
+            cases.push((
+                format!("btree sm {lo:?}..{hi:?}"),
+                sm,
+                query.clone(),
+                want.clone(),
+            ));
+            let ix = self.path("by_id");
+            cases.push((format!("btree index {lo:?}..{hi:?}"), ix, query, want));
+        }
+        for name in ["n1", "n2"] {
+            let want = self
+                .rows
+                .iter()
+                .filter(|(_, n)| n.as_str() == name)
+                .map(|(i, n)| ScanItem {
+                    key: RecordKey::new(enc(*i)),
+                    values: Some(vec![Value::from(n.as_str())]),
+                })
+                .collect();
+            let query = AccessQuery::KeyEquals(enc(name));
+            cases.push((
+                format!("hash probe {name}"),
+                self.path("h_name"),
+                query,
+                want,
+            ));
+        }
+        let mut pairs: Vec<(&String, &i64)> = self.rows.iter().map(|(i, n)| (n, i)).collect();
+        pairs.sort();
+        let want = pairs
+            .into_iter()
+            .map(|(n, i)| ScanItem {
+                key: RecordKey::new(enc(*i)),
+                values: Some(vec![Value::Bytes(self.dept_keys[n].as_bytes().to_vec())]),
+            })
+            .collect();
+        cases.push(("join pairs".into(), self.path("ji"), AccessQuery::All, want));
+        let mut groups: BTreeMap<String, (i64, f64)> = BTreeMap::new();
+        for (i, n) in &self.rows {
+            let g = groups.entry(n.clone()).or_default();
+            g.0 += 1;
+            g.1 += *i as f64;
+        }
+        for (lo, hi) in [
+            (Included("n1"), Excluded("n3")),
+            (Excluded("n0"), Included("n2")),
+            (Unbounded, Included("n1")),
+            (Excluded("n1"), Unbounded),
+            (Unbounded, Unbounded),
+        ] {
+            let want = groups
+                .range::<str, _>((lo, hi))
+                .map(|(n, (c, s))| ScanItem {
+                    key: RecordKey::new(enc(n.as_str())),
+                    values: Some(vec![
+                        Value::from(n.as_str()),
+                        Value::Int(*c),
+                        Value::Float(*s),
+                    ]),
+                })
+                .collect();
+            let query = AccessQuery::Range(KeyRange {
+                lo: enc_bound(&lo),
+                hi: enc_bound(&hi),
+            });
+            let agg = self.path("agg");
+            cases.push((format!("aggregate {lo:?}..{hi:?}"), agg, query, want));
+        }
+        cases
+    }
+}
+
+/// Every tree-backed scan restores its position after a partial
+/// rollback: two items before the savepoint, up to three more plus a
+/// rolled-back insert inside every range after it, and the stream as a
+/// whole still equals the model's.
+#[test]
+fn scan_positions_saved_and_restored_across_savepoint_rollback() {
+    let t = tree_paths();
+    let db = &t.db;
+    for (what, path, query, want) in t.cases() {
+        assert!(!want.is_empty(), "{what}: empty model stream");
+        let txn = db.begin();
+        let fields = matches!(path, AccessPath::StorageMethod).then(|| vec![0]);
+        let scan = db
+            .open_scan(&txn, t.emp, path, query, None, fields)
+            .unwrap();
+        let mut got = Vec::new();
+        for _ in 0..2 {
+            got.extend(db.scan_next(&txn, scan).unwrap());
+        }
+        db.savepoint(&txn, "sp").unwrap();
+        for _ in 0..3 {
+            db.scan_next(&txn, scan).unwrap();
+        }
+        db.insert(&txn, t.emp, rec(100, "n1", 100.0)).unwrap();
+        db.insert(&txn, t.emp, rec(-1, "n2", 0.5)).unwrap();
+        db.rollback_to_savepoint(&txn, "sp").unwrap();
+        while let Some(item) = db.scan_next(&txn, scan).unwrap() {
+            got.push(item);
+        }
+        assert_eq!(got, want, "{what}");
+        db.commit(&txn).unwrap();
+    }
+}
+
+/// Pins the lock footprint of locking range scans: every key passed
+/// takes its record S then its gap S (the scan's own re-read re-grants
+/// the record lock), and exhaustion locks the boundary key's record and
+/// gap, or the EOF gap, once. Any drift in the next-key protocol moves
+/// these counts.
+#[test]
+fn locking_range_scans_take_a_pinned_number_of_locks() {
+    let t = tree_paths();
+    let db = &t.db;
+    let acquires = |path: AccessPath, lo: i64, hi: Bound<i64>| -> u64 {
+        let txn = db.begin();
+        let before = db.metrics_snapshot().counter("lock.acquires");
+        let query = AccessQuery::Range(KeyRange {
+            lo: Bound::Included(enc(lo)),
+            hi: enc_bound(&hi),
+        });
+        let scan = db.open_scan(&txn, t.emp, path, query, None, None).unwrap();
+        while db.scan_next(&txn, scan).unwrap().is_some() {}
+        let after = db.metrics_snapshot().counter("lock.acquires");
+        db.commit(&txn).unwrap();
+        after - before
+    };
+    let sm = AccessPath::StorageMethod;
+    let ix = t.path("by_id");
+    // relation IS + 5 keys × (record S, gap S, re-read record S)
+    // + the boundary key 8's record S and gap S
+    assert_eq!(
+        acquires(sm, 3, Bound::Excluded(8)),
+        18,
+        "btree sm, boundary"
+    );
+    assert_eq!(
+        acquires(ix, 3, Bound::Excluded(8)),
+        18,
+        "btree index, boundary"
+    );
+    // relation IS + 5 keys × 3 + the EOF gap S
+    assert_eq!(acquires(sm, 15, Bound::Unbounded), 17, "btree sm, EOF");
+    assert_eq!(acquires(ix, 15, Bound::Unbounded), 17, "btree index, EOF");
 }
 
 #[test]

@@ -636,7 +636,7 @@ pub fn check_layering(root: &Path) -> Vec<Violation> {
                     i + 1,
                     format!(
                         "external dependency `{name}` in runtime crate `{krate}` — the \
-                         workspace is std-only (put tooling deps in the excluded bench crate)"
+                         workspace is std-only"
                     ),
                 ));
             }

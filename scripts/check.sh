@@ -5,13 +5,17 @@
 #
 # `check.sh --thorough` additionally runs the crash-point sweeps at
 # stride 1 (every single I/O index, including the points inside the
-# scrubber and the repair pipeline) — the nightly lane.
+# scrubber and the repair pipeline) and repeats the concurrency suite
+# ten times in a row, so a race that fails one run in a few fails the
+# lane instead of passing as flaky — the nightly lane.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 STRIDE=16
+THOROUGH=0
 if [ "${1:-}" = "--thorough" ]; then
   STRIDE=1
+  THOROUGH=1
 fi
 
 echo "==> cargo fmt --all --check"
@@ -53,6 +57,13 @@ echo "==> fault sweep (FAULT_SWEEP_STRIDE=$STRIDE)"
 FAULT_SWEEP_STRIDE=$STRIDE cargo test -q --test fault_sweep
 echo "==> self-heal crash sweep (FAULT_SWEEP_STRIDE=$STRIDE)"
 FAULT_SWEEP_STRIDE=$STRIDE cargo test -q --test self_heal crash_sweep
+
+if [ "$THOROUGH" = 1 ]; then
+  for run in $(seq 1 10); do
+    echo "==> concurrency suite, run ${run}/10"
+    cargo test -q --test concurrency
+  done
+fi
 
 # Storage-method differential oracle: heap vs btree vs in-memory model
 # over seeded statement streams.
