@@ -1,16 +1,22 @@
-//! The experiment harness: regenerates every experiment in DESIGN.md §4.
+//! The experiment harness: regenerates every experiment in DESIGN.md §4
+//! and runs the seeded lanes against the gate table.
 //!
 //! The paper (SIGMOD '87) publishes no measured tables — its evaluation is
 //! architectural — so each experiment here measures one of its explicit
 //! performance claims or design choices. EXPERIMENTS.md records the
 //! claim, the harness output, and whether the claimed *shape* holds.
 //!
-//! Run with: `cargo run --release -p dmx-bench --bin harness`
+//! Run with: `cargo run --release -p dmx-bench --bin harness`, or name
+//! experiments and lanes to run only those (`… --bin harness e1 e5
+//! bulk_insert_btree`; `lanes` names every lane). Lanes run at full
+//! scale, each timed as the median of five runs, and every gate that
+//! applies judges them and the committed baselines. `--check` instead
+//! runs every lane twice at smoke scale, fails on any snapshot
+//! divergence, and judges the counter gates.
 
 // Same panic-discipline exemption as the bench library: the harness is
 // not a runtime crate, and a broken fixture should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-//! (or a subset: `… --bin harness e1 e5`)
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -23,450 +29,143 @@ use dmx_expr::{CmpOp, Expr};
 use dmx_query::{PlanCache, Session, SqlExt};
 use dmx_types::{DmxError, Record, Value};
 
+const EXPERIMENTS: [(&str, fn()); 12] = [
+    ("e1", e1_dispatch),
+    ("e2", e2_attachments),
+    ("e3", e3_filter),
+    ("e4", e4_bind),
+    ("e5", e5_paths),
+    ("e6", e6_join),
+    ("e7", e7_deferred),
+    ("e8", e8_rollback),
+    ("e9", e9_storage),
+    ("e10", e10_descriptor),
+    ("e11", e11_cascade),
+    ("e12", e12_concurrency),
+];
+
+/// Samples a full-scale run takes of every lane; it keeps the median.
+const ROUNDS: usize = 5;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    if args.iter().any(|a| a == "--smoke") {
-        pr3_smoke();
-        return;
+    let ok = if args == ["--check"] {
+        let (outcomes, panicked) = smoke_run();
+        lane_table(&outcomes);
+        for lane in &panicked {
+            eprintln!("lane {lane} FAILED: panicked (message above)");
+        }
+        judge(&Source::fresh(Kind::Smoke, &outcomes)) && panicked.is_empty()
+    } else {
+        full_run(&args)
+    };
+    if !ok {
+        std::process::exit(1);
+    }
+}
+
+/// Runs the named experiments and lanes (all of them when `args` is
+/// empty) and judges the lanes. False on an unknown name or a failed gate.
+fn full_run(args: &[String]) -> bool {
+    let lanes = lanes();
+    let valid: Vec<&str> = std::iter::once("lanes")
+        .chain(EXPERIMENTS.iter().map(|(name, _)| *name))
+        .chain(lanes.iter().map(|l| l.name))
+        .collect();
+    let unknown: Vec<&String> = args
+        .iter()
+        .filter(|a| !valid.contains(&a.as_str()))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown name(s) {unknown:?}; valid: --check alone, or any of");
+        eprintln!("{}", valid.join(" "));
+        return false;
     }
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    let experiments: Vec<(&str, fn())> = vec![
-        ("e1", e1_dispatch as fn()),
-        ("e2", e2_attachments),
-        ("e3", e3_filter),
-        ("e4", e4_bind),
-        ("e5", e5_paths),
-        ("e6", e6_join),
-        ("e7", e7_deferred),
-        ("e8", e8_rollback),
-        ("e9", e9_storage),
-        ("e10", e10_descriptor),
-        ("e11", e11_cascade),
-        ("e12", e12_concurrency),
-    ];
     println!("starburst-dmx experiment harness");
     println!("(figures F1/F2 are executable scenarios: see tests/extension_registration.rs");
     println!(" and crates/attach/tests/attachments.rs::figure1_employee_configuration)\n");
-    for (name, f) in experiments {
+    for (name, f) in EXPERIMENTS {
         if want(name) {
             f();
             println!();
         }
     }
-    if want("pr3") {
-        pr3_baseline();
+    let chosen: Vec<&Lane> = lanes
+        .iter()
+        .filter(|l| want("lanes") || want(l.name))
+        .collect();
+    if chosen.is_empty() {
+        return true;
     }
-    if want("pr5") {
-        pr5_baseline();
-    }
-    if want("pr7") {
-        pr7_baseline();
-    }
-    if want("pr8") {
-        pr8_baseline();
-    }
-    if want("pr9") {
-        pr9_baseline();
-    }
-    if want("pr10") {
-        pr10_baseline();
-    }
-}
-
-// ---------------------------------------------------------------------
-// PR3: seeded observability scenarios -> BENCH_pr3.json
-// ---------------------------------------------------------------------
-
-/// Full-scale run: writes the `BENCH_pr3.json` baseline next to the
-/// workspace root (or the current directory when run elsewhere).
-fn pr3_baseline() {
     banner(
-        "PR3",
-        "seeded observability scenarios: throughput + full metrics snapshot",
+        "lanes",
+        "seeded workloads at full scale, judged by the gate table",
     );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr3::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "metrics".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let names = pr3::assert_layer_coverage(&o.metrics, 12);
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    names.to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr3::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr3.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr3.json"))
-            .unwrap_or_else(|_| "BENCH_pr3.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr3.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR5 observability-extension scenarios; writes
-/// the `BENCH_pr5.json` baseline next to the workspace root.
-fn pr5_baseline() {
-    banner(
-        "PR5",
-        "sys.* relations, EXPLAIN ANALYZE and the flight recorder as seeded workloads",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr5::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "metrics".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let names = o.metrics.counters.len() + o.metrics.gauges.len() + o.metrics.histograms.len();
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    names.to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr5::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr5.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr5.json"))
-            .unwrap_or_else(|_| "BENCH_pr5.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr5.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR7 self-healing scenarios; writes the
-/// `BENCH_pr7.json` baseline next to the workspace root.
-fn pr7_baseline() {
-    banner(
-        "PR7",
-        "online scrub overhead and the quarantine-repair pipeline as seeded workloads",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr7::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "metrics".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let names = o.metrics.counters.len() + o.metrics.gauges.len() + o.metrics.histograms.len();
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    names.to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr7::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr7.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr7.json"))
-            .unwrap_or_else(|_| "BENCH_pr7.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr7.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR8 recovery-architecture scenarios; writes
-/// the `BENCH_pr8.json` baseline next to the workspace root. The
-/// bulk-insert and DML scenarios are the pr3 workloads rerun under
-/// steal/no-force commit, so `scripts/check.sh` can ratchet
-/// `bulk_insert_btree` against the `BENCH_pr3.json` figure.
-fn pr8_baseline() {
-    banner(
-        "PR8",
-        "no-force commit and group commit: pr3 workloads rerun + concurrent committers",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr8::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "metrics".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let names = o.metrics.counters.len() + o.metrics.gauges.len() + o.metrics.histograms.len();
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    names.to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr8::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr8.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr8.json"))
-            .unwrap_or_else(|_| "BENCH_pr8.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr8.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR9 MVCC scenarios; writes the
-/// `BENCH_pr9.json` baseline next to the workspace root. Both
-/// scenarios run the identical seeded read-mostly workload, so
-/// `scripts/check.sh` can ratchet the snapshot path's `lock.acquires`
-/// collapse against the locking baseline.
-fn pr9_baseline() {
-    banner(
-        "PR9",
-        "MVCC snapshot reads: read-mostly workload, locking vs snapshot scan path",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr9::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 14];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "lock.acquires".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    o.metrics.counter("lock.acquires").to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr9::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr9.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr9.json"))
-            .unwrap_or_else(|_| "BENCH_pr9.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr9.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR10 maintained-statistics scenarios; writes
-/// the `BENCH_pr10.json` baseline next to the workspace root. The two
-/// misestimate lanes run the identical skewed query matrix, so
-/// `scripts/check.sh` can ratchet the p90 estimate-error shrink (and
-/// the DML lanes' maintenance overhead) against the guess baseline.
-fn pr10_baseline() {
-    banner(
-        "PR10",
-        "maintained statistics: misestimate shrink, plan flips and maintenance overhead",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr10::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 14];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "misest p90".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    o.metrics.counter("bench.misest_p90").to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr10::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr10.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr10.json"))
-            .unwrap_or_else(|_| "BENCH_pr10.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr10.json");
-    println!("\nwrote {path}");
-}
-
-/// `--smoke`: small scale, every scenario run twice; asserts the two
-/// snapshots are identical (determinism) and that each covers the
-/// pagestore/wal/lock/txn/core layers. Used by scripts/check.sh.
-fn pr3_smoke() {
-    let scale = pr3::Scale::smoke();
-    let seed = pr3::DEFAULT_SEED;
-    for s in pr3::scenarios() {
-        let a = (s.run)(&scale, seed);
-        let b = (s.run)(&scale, seed);
-        assert_eq!(a.ops, b.ops, "{}: op count drifted between runs", s.name);
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{}: same seed produced different snapshots",
-            s.name
-        );
-        let names = pr3::assert_layer_coverage(&a.metrics, 12);
-        println!("smoke {:<26} ok  ops={:<7} metrics={names}", s.name, a.ops);
-    }
-    for s in pr5::scenarios().into_iter().chain(pr7::scenarios()) {
-        let a = (s.run)(&scale, seed);
-        let b = (s.run)(&scale, seed);
-        assert_eq!(a.ops, b.ops, "{}: op count drifted between runs", s.name);
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{}: same seed produced different snapshots",
-            s.name
-        );
-        println!("smoke {:<26} ok  ops={}", s.name, a.ops);
-    }
-    for s in pr8::scenarios() {
-        let a = (s.run)(&scale, seed);
-        // `concurrent_committers` races real threads, so its force/batch
-        // split is not seed-determined; its invariants (all commits land,
-        // forces < commits) are asserted inside the scenario itself.
-        if !pr8::is_deterministic(s.name) {
-            println!("smoke {:<26} ok  ops={} (invariants only)", s.name, a.ops);
-            continue;
+    // Wall clock drifts with host load over a run: rounds alternate the
+    // lane order, so lanes compared on elapsed time run in alternating
+    // pairs.
+    let mut samples: Vec<Vec<Outcome>> = chosen.iter().map(|_| Vec::new()).collect();
+    for round in 0..ROUNDS {
+        let mut order: Vec<usize> = (0..chosen.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
         }
-        let b = (s.run)(&scale, seed);
-        assert_eq!(a.ops, b.ops, "{}: op count drifted between runs", s.name);
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{}: same seed produced different snapshots",
-            s.name
-        );
-        println!("smoke {:<26} ok  ops={}", s.name, a.ops);
+        for i in order {
+            samples[i].push(chosen[i].run_timed(&Scale::full(), DEFAULT_SEED));
+        }
     }
-    for s in pr9::scenarios().into_iter().chain(pr10::scenarios()) {
-        let a = (s.run)(&scale, seed);
-        let b = (s.run)(&scale, seed);
-        assert_eq!(a.ops, b.ops, "{}: op count drifted between runs", s.name);
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{}: same seed produced different snapshots",
-            s.name
+    let outcomes: Vec<Outcome> = samples
+        .into_iter()
+        .map(|mut runs| {
+            runs.sort_by_key(|o| o.elapsed);
+            runs.swap_remove(ROUNDS / 2)
+        })
+        .collect();
+    lane_table(&outcomes);
+    judge(&Source::fresh(Kind::Full, &outcomes))
+}
+
+fn lane_table(outcomes: &[Outcome]) {
+    println!(
+        "{:>26}  {:>8}  {:>11}  {:>9}  {:>7}",
+        "lane", "ops", "elapsed ms", "ops/sec", "metrics"
+    );
+    for o in outcomes {
+        let names = pr3::assert_layer_coverage(&o.metrics, 12);
+        let per_sec = o.ops as f64 / o.elapsed.as_secs_f64().max(1e-9);
+        let elapsed = ms(o.elapsed);
+        println!(
+            "{:>26}  {:>8}  {elapsed:>11}  {per_sec:>9.0}  {names:>7}",
+            o.name, o.ops
         );
-        println!("smoke {:<26} ok  ops={}", s.name, a.ops);
     }
-    println!("bench smoke: all scenarios deterministic");
+}
+
+/// Judges `fresh` and every committed baseline with each gate that
+/// applies, printing every verdict. False when any gate fails.
+fn judge(fresh: &Source) -> bool {
+    let mut failed = Vec::new();
+    println!();
+    for src in std::iter::once(fresh).chain(&Source::committed()) {
+        for v in evaluate(src) {
+            let (status, detail) = match &v.result {
+                Ok(detail) => ("ok", detail),
+                Err(detail) => ("FAILED", detail),
+            };
+            let (gate, t, label) = (v.gate, v.threshold, &src.label);
+            println!("gate {gate:<17} {status:<6} {label:<16} {detail} (threshold {t})");
+            if v.result.is_err() {
+                failed.push(gate);
+            }
+        }
+    }
+    if failed.is_empty() {
+        println!("all gates passed");
+    } else {
+        eprintln!("failed gates: {}", failed.join(", "));
+    }
+    failed.is_empty()
 }
 
 fn banner(id: &str, claim: &str) {

@@ -1,114 +1,21 @@
-//! PR3 observability scenarios: seeded, deterministic workloads whose
-//! metric snapshots are the bench baseline (`BENCH_pr3.json`).
+//! PR3 observability lanes: seeded, deterministic workloads whose
+//! metric snapshots were first recorded as `BENCH_pr3.json`.
 //!
-//! Each scenario builds its own database, drives a workload derived
+//! Each lane builds its own database, drives a workload derived
 //! entirely from a [`TestRng`] seed, and returns the operation count plus
 //! the database's [`MetricsSnapshot`]. Nothing inside a workload reads a
 //! clock: two runs with the same seed and scale produce byte-identical
-//! snapshots (the property suite and `--smoke` mode both assert this).
-//! Wall-clock timing happens only in [`run_timed`], outside the
-//! deterministic region, and is reported next to — never inside — the
-//! snapshot.
-
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+//! snapshots (the property suite and `harness --check` both assert this).
+//! Wall-clock timing happens only in [`crate::Lane::run_timed`], outside
+//! the deterministic region, and is reported next to — never inside —
+//! the snapshot.
 
 use dmx_core::{Database, DatabaseConfig, DatabaseEnv};
 use dmx_query::{Session, SqlExt};
 use dmx_types::testrng::TestRng;
 use dmx_types::{MetricsSnapshot, Record, Value};
 
-use crate::registry;
-
-/// The default seed for the shipped baseline.
-pub const DEFAULT_SEED: u64 = 0xD31A_BA5E;
-
-/// Workload sizes. `smoke` keeps `scripts/check.sh` fast; `full` is the
-/// shipped `BENCH_pr3.json` baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct Scale {
-    pub rows: usize,
-    pub lookups: usize,
-    pub scans: usize,
-    pub dml_ops: usize,
-}
-
-impl Scale {
-    pub fn full() -> Scale {
-        Scale {
-            rows: 20_000,
-            lookups: 4_000,
-            scans: 40,
-            dml_ops: 4_000,
-        }
-    }
-
-    pub fn smoke() -> Scale {
-        Scale {
-            rows: 400,
-            lookups: 100,
-            scans: 6,
-            dml_ops: 120,
-        }
-    }
-}
-
-/// What a scenario's deterministic region produces.
-pub struct WorkloadResult {
-    pub ops: u64,
-    pub metrics: MetricsSnapshot,
-}
-
-/// A named seeded scenario.
-pub struct Scenario {
-    pub name: &'static str,
-    pub claim: &'static str,
-    pub run: fn(&Scale, u64) -> WorkloadResult,
-}
-
-/// A scenario outcome with its (non-deterministic) wall-clock timing.
-pub struct ScenarioOutcome {
-    pub name: &'static str,
-    pub ops: u64,
-    pub elapsed: Duration,
-    pub metrics: MetricsSnapshot,
-}
-
-/// The PR3 scenario suite.
-pub fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario {
-            name: "bulk_insert_heap",
-            claim: "bulk load into the heap storage method",
-            run: |s, seed| bulk_insert(s, seed, false),
-        },
-        Scenario {
-            name: "bulk_insert_btree",
-            claim: "bulk load into the b-tree storage method (shuffled keys)",
-            run: |s, seed| bulk_insert(s, seed, true),
-        },
-        Scenario {
-            name: "point_lookup_index",
-            claim: "point lookups through a unique index attachment",
-            run: point_lookups,
-        },
-        Scenario {
-            name: "scan_predicate_pushdown",
-            claim: "full scans with the predicate evaluated in the storage method",
-            run: scan_predicate,
-        },
-        Scenario {
-            name: "mixed_dml_constraints",
-            claim: "insert/update/delete mix under referential-integrity attachments",
-            run: mixed_dml,
-        },
-        Scenario {
-            name: "recovery_replay",
-            claim: "restart recovery replays committed work and undoes the loser",
-            run: recovery_replay,
-        },
-    ]
-}
+use crate::{registry, Scale, WorkloadResult};
 
 fn emp_record(rng: &mut TestRng, id: i64) -> Record {
     Record::new(vec![
@@ -122,7 +29,7 @@ fn emp_record(rng: &mut TestRng, id: i64) -> Record {
 /// Scenario 1/2: bulk insert `scale.rows` records, committing in
 /// batches, into a heap or b-tree relation. B-tree keys arrive shuffled
 /// so page splits happen throughout the load.
-fn bulk_insert(scale: &Scale, seed: u64, btree: bool) -> WorkloadResult {
+pub(crate) fn bulk_insert(scale: &Scale, seed: u64, btree: bool) -> WorkloadResult {
     let db = Database::open_fresh(registry()).expect("open");
     let ddl = if btree {
         "CREATE TABLE t (id INT NOT NULL, name STRING NOT NULL, dept INT, salary FLOAT) \
@@ -154,7 +61,7 @@ fn bulk_insert(scale: &Scale, seed: u64, btree: bool) -> WorkloadResult {
 
 /// Scenario 3: seeded point lookups through a unique b-tree index
 /// attachment, issued as SQL so the query layer is measured too.
-fn point_lookups(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn point_lookups(scale: &Scale, seed: u64) -> WorkloadResult {
     let db = Database::open_fresh(registry()).expect("open");
     crate::load_emp(
         &db,
@@ -183,7 +90,7 @@ fn point_lookups(scale: &Scale, seed: u64) -> WorkloadResult {
 
 /// Scenario 4: repeated scans with a range predicate pushed into the
 /// storage method (selectivity drawn from the seed).
-fn scan_predicate(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn scan_predicate(scale: &Scale, seed: u64) -> WorkloadResult {
     let db = Database::open_fresh(registry()).expect("open");
     crate::load_emp(&db, "t", scale.rows, &[]).expect("load");
     let mut rng = TestRng::new(seed);
@@ -206,7 +113,7 @@ fn scan_predicate(scale: &Scale, seed: u64) -> WorkloadResult {
 /// pair with referential-integrity attachments and a unique index; a
 /// slice of the operations intentionally violate the constraints and
 /// must be vetoed.
-fn mixed_dml(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn mixed_dml(scale: &Scale, seed: u64) -> WorkloadResult {
     let db = Database::open_fresh(registry()).expect("open");
     db.execute_sql("CREATE TABLE dept (id INT NOT NULL, name STRING NOT NULL)")
         .expect("dept");
@@ -286,7 +193,7 @@ fn mixed_dml(scale: &Scale, seed: u64) -> WorkloadResult {
 /// Scenario 6: committed work plus one in-flight loser, then a simulated
 /// crash; the metrics are the *reopened* database's — i.e. the cost of
 /// restart recovery itself (log replay, undo, pool traffic).
-fn recovery_replay(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn recovery_replay(scale: &Scale, seed: u64) -> WorkloadResult {
     let env = DatabaseEnv::fresh();
     let db = Database::open(env.clone(), DatabaseConfig::default(), registry()).expect("open");
     db.execute_sql(
@@ -332,55 +239,6 @@ fn recovery_replay(scale: &Scale, seed: u64) -> WorkloadResult {
     }
 }
 
-/// Runs every scenario once, timing the deterministic region.
-pub fn run_timed(scale: &Scale, seed: u64) -> Vec<ScenarioOutcome> {
-    scenarios()
-        .into_iter()
-        .map(|s| {
-            let start = Instant::now();
-            let r = (s.run)(scale, seed);
-            let elapsed = start.elapsed();
-            ScenarioOutcome {
-                name: s.name,
-                ops: r.ops,
-                elapsed,
-                metrics: r.metrics,
-            }
-        })
-        .collect()
-}
-
-/// Renders the outcomes as the `BENCH_pr3.json` document.
-pub fn render_json(outcomes: &[ScenarioOutcome], seed: u64, scale: &Scale) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"suite\": \"pr3-observability\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(
-        s,
-        "  \"scale\": {{\"rows\": {}, \"lookups\": {}, \"scans\": {}, \"dml_ops\": {}}},",
-        scale.rows, scale.lookups, scale.scans, scale.dml_ops
-    );
-    s.push_str("  \"scenarios\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let secs = o.elapsed.as_secs_f64();
-        let per_sec = if secs > 0.0 { o.ops as f64 / secs } else { 0.0 };
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"ops\": {}, \"elapsed_ms\": {:.3}, \
-             \"ops_per_sec\": {:.1}, \"metrics\": {}}}",
-            o.name,
-            o.ops,
-            secs * 1e3,
-            per_sec,
-            o.metrics.to_json()
-        );
-        s.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Layer coverage required of every scenario snapshot (the acceptance
 /// bar: pagestore, wal, lock and core all observed).
 pub const REQUIRED_PREFIXES: &[&str] = &["pool.", "wal.", "lock.", "txn.", "dml."];
@@ -407,26 +265,4 @@ pub fn assert_layer_coverage(m: &MetricsSnapshot, min_names: usize) -> usize {
         names.len()
     );
     names.len()
-}
-
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_scale_is_deterministic_and_covers_layers() {
-        let scale = Scale::smoke();
-        for s in scenarios() {
-            let a = (s.run)(&scale, DEFAULT_SEED);
-            let b = (s.run)(&scale, DEFAULT_SEED);
-            assert_eq!(a.ops, b.ops, "{}: op count drifted", s.name);
-            assert_eq!(
-                a.metrics, b.metrics,
-                "{}: same seed, different snapshot",
-                s.name
-            );
-            assert_layer_coverage(&a.metrics, 12);
-        }
-    }
 }

@@ -1,53 +1,22 @@
-//! PR5 observability-extension scenarios: the `sys.*` system relations,
+//! PR5 observability-extension lanes: the `sys.*` system relations,
 //! EXPLAIN ANALYZE and the flight recorder, driven as seeded workloads
-//! whose metric snapshots form the `BENCH_pr5.json` baseline.
+//! whose metric snapshots were first recorded as `BENCH_pr5.json`.
 //!
 //! Same determinism contract as [`crate::pr3`]: nothing inside a
 //! workload reads a clock, so two runs with the same seed and scale
-//! produce byte-identical snapshots. `scripts/check.sh` additionally
-//! diffs the metric-name sets of `BENCH_pr3.json` and `BENCH_pr5.json`
-//! so no previously-exported metric can silently disappear.
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! produce byte-identical snapshots. The "metric names" gate keeps every
+//! name these lanes published, so none can silently disappear.
 
 use dmx_core::{Database, DatabaseConfig, DatabaseEnv};
 use dmx_query::{Session, SqlExt};
 use dmx_types::testrng::TestRng;
 use dmx_types::{FileId, PageId};
 
-use crate::pr3::{Scale, Scenario, ScenarioOutcome, WorkloadResult};
-use crate::registry;
-
-/// The PR5 scenario suite.
-pub fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario {
-            name: "sys_relation_scans",
-            claim: "sys.* virtual relations answered through the ordinary SQL path",
-            run: sys_relation_scans,
-        },
-        Scenario {
-            name: "explain_analyze",
-            claim: "EXPLAIN ANALYZE with per-node counters and misestimate feedback",
-            run: explain_analyze,
-        },
-        Scenario {
-            name: "trace_ring_drain",
-            claim: "operation-trace ring drained via sys.trace under DML churn",
-            run: trace_ring_drain,
-        },
-        Scenario {
-            name: "flight_recorder",
-            claim: "quarantine captures a deterministic incident queryable as sys.incidents",
-            run: flight_recorder,
-        },
-    ]
-}
+use crate::{registry, Scale, WorkloadResult};
 
 /// Scenario 1: repeated predicate/projection scans over the system
 /// relations on top of a seeded base table.
-fn sys_relation_scans(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn sys_relation_scans(scale: &Scale, seed: u64) -> WorkloadResult {
     let db = Database::open_fresh(registry()).expect("open");
     crate::load_emp(
         &db,
@@ -78,7 +47,7 @@ fn sys_relation_scans(scale: &Scale, seed: u64) -> WorkloadResult {
 /// Scenario 2: seeded EXPLAIN ANALYZE statements — full scans with a
 /// pushed predicate plus indexed point shapes — each recording
 /// estimated-vs-actual into the `planner.misestimate` histogram.
-fn explain_analyze(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn explain_analyze(scale: &Scale, seed: u64) -> WorkloadResult {
     let db = Database::open_fresh(registry()).expect("open");
     crate::load_emp(
         &db,
@@ -129,7 +98,7 @@ fn explain_analyze(scale: &Scale, seed: u64) -> WorkloadResult {
 /// Scenario 3: a seeded DML mix under referential-integrity attachments
 /// (the same shape as pr3's `mixed_dml`) with the trace ring drained
 /// through `sys.trace` every few statements; `ops` counts drained rows.
-fn trace_ring_drain(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn trace_ring_drain(scale: &Scale, seed: u64) -> WorkloadResult {
     let db = Database::open_fresh(registry()).expect("open");
     db.execute_sql("CREATE TABLE dept (id INT NOT NULL, name STRING NOT NULL)")
         .expect("dept");
@@ -179,7 +148,7 @@ fn trace_ring_drain(scale: &Scale, seed: u64) -> WorkloadResult {
 /// Scenario 4: corruption below the checksum layer quarantines a
 /// relation on reopen; the flight recorder's incident is queryable as
 /// `sys.incidents`. `ops` counts the incident rows.
-fn flight_recorder(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn flight_recorder(scale: &Scale, seed: u64) -> WorkloadResult {
     let env = DatabaseEnv::fresh();
     let db = Database::open(env.clone(), DatabaseConfig::default(), registry()).expect("open");
     crate::load_emp(
@@ -212,71 +181,5 @@ fn flight_recorder(scale: &Scale, seed: u64) -> WorkloadResult {
     WorkloadResult {
         ops: rows.len() as u64,
         metrics: db.metrics_snapshot(),
-    }
-}
-
-/// Runs every scenario once, timing the deterministic region.
-pub fn run_timed(scale: &Scale, seed: u64) -> Vec<ScenarioOutcome> {
-    scenarios()
-        .into_iter()
-        .map(|s| {
-            let start = Instant::now();
-            let r = (s.run)(scale, seed);
-            let elapsed = start.elapsed();
-            ScenarioOutcome {
-                name: s.name,
-                ops: r.ops,
-                elapsed,
-                metrics: r.metrics,
-            }
-        })
-        .collect()
-}
-
-/// Renders the outcomes as the `BENCH_pr5.json` document.
-pub fn render_json(outcomes: &[ScenarioOutcome], seed: u64, scale: &Scale) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"suite\": \"pr5-observability-extension\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(
-        s,
-        "  \"scale\": {{\"rows\": {}, \"lookups\": {}, \"scans\": {}, \"dml_ops\": {}}},",
-        scale.rows, scale.lookups, scale.scans, scale.dml_ops
-    );
-    s.push_str("  \"scenarios\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let secs = o.elapsed.as_secs_f64();
-        let per_sec = if secs > 0.0 { o.ops as f64 / secs } else { 0.0 };
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"ops\": {}, \"elapsed_ms\": {:.3}, \
-             \"ops_per_sec\": {:.1}, \"metrics\": {}}}",
-            o.name,
-            o.ops,
-            secs * 1e3,
-            per_sec,
-            o.metrics.to_json()
-        );
-        s.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_scale_is_deterministic() {
-        let scale = Scale::smoke();
-        for s in scenarios() {
-            let a = (s.run)(&scale, crate::pr3::DEFAULT_SEED);
-            let b = (s.run)(&scale, crate::pr3::DEFAULT_SEED);
-            assert_eq!(a.ops, b.ops, "{}: op count drifted", s.name);
-            assert_eq!(a.metrics, b.metrics, "{}: snapshot drifted", s.name);
-        }
     }
 }

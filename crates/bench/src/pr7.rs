@@ -1,6 +1,6 @@
 //! PR7 self-healing scenarios: online-scrub overhead against the pr3
-//! DML mix, and the repair pipeline end to end. The seeded runs form
-//! the `BENCH_pr7.json` baseline.
+//! DML mix, and the repair pipeline end to end. The seeded runs were
+//! first recorded as `BENCH_pr7.json`.
 //!
 //! Same determinism contract as [`crate::pr3`]: nothing inside a
 //! workload reads a clock, so two runs with the same seed and scale
@@ -10,37 +10,12 @@
 //! shows is the scrub's page walking and cross-checking, not scheduler
 //! noise.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
 use dmx_core::{Database, DatabaseConfig, DatabaseEnv};
 use dmx_query::SqlExt;
 use dmx_types::testrng::TestRng;
 use dmx_types::{FileId, PageId};
 
-use crate::pr3::{Scale, Scenario, ScenarioOutcome, WorkloadResult};
-use crate::registry;
-
-/// The PR7 scenario suite.
-pub fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario {
-            name: "dml_mix_no_scrub",
-            claim: "the pr3-shaped DML mix alone — the scrub-overhead baseline",
-            run: dml_mix_no_scrub,
-        },
-        Scenario {
-            name: "scrub_concurrent_dml",
-            claim: "online CHECK TABLE interleaved with the same DML mix",
-            run: scrub_concurrent_dml,
-        },
-        Scenario {
-            name: "repair_pipeline",
-            claim: "quarantine -> rebuild-from-base -> verified healthy, end to end",
-            run: repair_pipeline,
-        },
-    ]
-}
+use crate::{registry, Scale, WorkloadResult};
 
 /// The shared seeded mix (the pr3 `mixed_dml` shape): inserts, updates
 /// and deletes against an indexed table. When `scrub_every` is nonzero,
@@ -101,20 +76,20 @@ fn dml_mix(scale: &Scale, seed: u64, scrub_every: usize) -> WorkloadResult {
 }
 
 /// Scenario 1: the mix alone — what the overhead is measured against.
-fn dml_mix_no_scrub(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn dml_mix_no_scrub(scale: &Scale, seed: u64) -> WorkloadResult {
     dml_mix(scale, seed, 0)
 }
 
 /// Scenario 2: the same mix with a full online scrub pass every 32
 /// statements; the elapsed-time delta against scenario 1 is the scrub
 /// overhead the baseline documents.
-fn scrub_concurrent_dml(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn scrub_concurrent_dml(scale: &Scale, seed: u64) -> WorkloadResult {
     dml_mix(scale, seed, 32)
 }
 
 /// Scenario 3: silent index rot, proactive detection, automatic repair.
 /// `ops` counts the records the healed relation serves again.
-fn repair_pipeline(scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn repair_pipeline(scale: &Scale, seed: u64) -> WorkloadResult {
     let env = DatabaseEnv::fresh();
     let db = Database::open(env.clone(), DatabaseConfig::default(), registry()).expect("open");
     let rows = (scale.rows / 8).max(16);
@@ -148,71 +123,5 @@ fn repair_pipeline(scale: &Scale, seed: u64) -> WorkloadResult {
     WorkloadResult {
         ops: served,
         metrics: db.metrics_snapshot(),
-    }
-}
-
-/// Runs every scenario once, timing the deterministic region.
-pub fn run_timed(scale: &Scale, seed: u64) -> Vec<ScenarioOutcome> {
-    scenarios()
-        .into_iter()
-        .map(|s| {
-            let start = Instant::now();
-            let r = (s.run)(scale, seed);
-            let elapsed = start.elapsed();
-            ScenarioOutcome {
-                name: s.name,
-                ops: r.ops,
-                elapsed,
-                metrics: r.metrics,
-            }
-        })
-        .collect()
-}
-
-/// Renders the outcomes as the `BENCH_pr7.json` document.
-pub fn render_json(outcomes: &[ScenarioOutcome], seed: u64, scale: &Scale) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"suite\": \"pr7-self-healing-storage\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(
-        s,
-        "  \"scale\": {{\"rows\": {}, \"lookups\": {}, \"scans\": {}, \"dml_ops\": {}}},",
-        scale.rows, scale.lookups, scale.scans, scale.dml_ops
-    );
-    s.push_str("  \"scenarios\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let secs = o.elapsed.as_secs_f64();
-        let per_sec = if secs > 0.0 { o.ops as f64 / secs } else { 0.0 };
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"ops\": {}, \"elapsed_ms\": {:.3}, \
-             \"ops_per_sec\": {:.1}, \"metrics\": {}}}",
-            o.name,
-            o.ops,
-            secs * 1e3,
-            per_sec,
-            o.metrics.to_json()
-        );
-        s.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_scale_is_deterministic() {
-        let scale = Scale::smoke();
-        for s in scenarios() {
-            let a = (s.run)(&scale, crate::pr3::DEFAULT_SEED);
-            let b = (s.run)(&scale, crate::pr3::DEFAULT_SEED);
-            assert_eq!(a.ops, b.ops, "{}: op count drifted", s.name);
-            assert_eq!(a.metrics, b.metrics, "{}: snapshot drifted", s.name);
-        }
     }
 }

@@ -1,87 +1,22 @@
-//! PR8 recovery-architecture scenarios: the cost of commit under
-//! redo/undo logging with a steal/no-force buffer pool, and the
-//! effectiveness of group commit. The seeded runs form the
-//! `BENCH_pr8.json` baseline.
+//! PR8 recovery-architecture lane: the effectiveness of group commit
+//! under redo/undo logging with a steal/no-force buffer pool.
+//! `BENCH_pr8.json` also recorded the pr3 bulk-insert and DML-mix lanes
+//! under no-force commit; the "no-force" and "no-force speedup" gates
+//! judge those lanes.
 //!
-//! The headline comparison is against `BENCH_pr3.json`: the bulk-insert
-//! and DML-mix scenarios here are *the same workloads* (the pr3 runner
-//! functions are invoked by name), so any throughput delta is the
-//! recovery-policy change — commit forcing only the log instead of
-//! flushing every dirty page under every tree latch. `scripts/check.sh`
-//! ratchets `bulk_insert_btree` at >= 2x the pr3 baseline and asserts
-//! commit-time page flushing is gone (`pool.flushes` stays a small
-//! DDL-bootstrap constant instead of scaling with the row count).
-//!
-//! Determinism contract: the single-threaded scenarios inherit pr3's
-//! byte-identical-snapshot guarantee. `concurrent_committers` is the
-//! exception — which force call carries which commit record depends on
-//! thread interleaving — so smoke mode checks its invariants (all
-//! transactions committed, fewer forces than commits) instead of
-//! snapshot equality. [`is_deterministic`] encodes the split.
+//! Determinism contract: which force call carries which commit record
+//! depends on thread interleaving, so `concurrent_committers` is the
+//! one lane whose snapshot is not seed-determined. The "group commit"
+//! gate judges its invariant (fewer forces than commits) instead.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 use dmx_core::Database;
 use dmx_query::SqlExt;
 use dmx_types::testrng::TestRng;
 use dmx_types::{Record, Value};
 
-use crate::pr3::{Scale, Scenario, ScenarioOutcome, WorkloadResult};
-use crate::registry;
-
-/// The PR8 scenario suite.
-pub fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario {
-            name: "bulk_insert_heap",
-            claim: "pr3 bulk heap load under no-force commit (log force only)",
-            run: |s, seed| rerun_pr3("bulk_insert_heap", s, seed),
-        },
-        Scenario {
-            name: "bulk_insert_btree",
-            claim: "pr3 bulk b-tree load under no-force commit — the >=2x ratchet",
-            run: |s, seed| rerun_pr3("bulk_insert_btree", s, seed),
-        },
-        Scenario {
-            name: "mixed_dml_constraints",
-            claim: "pr3 constraint-checked DML mix under no-force commit",
-            run: |s, seed| rerun_pr3("mixed_dml_constraints", s, seed),
-        },
-        Scenario {
-            name: "concurrent_committers",
-            claim: "group commit: concurrent committers share log forces",
-            run: concurrent_committers,
-        },
-    ]
-}
-
-/// True when a scenario's metric snapshot is a pure function of the
-/// seed. `concurrent_committers` genuinely races threads, so its
-/// force/batch split varies run to run by design.
-pub fn is_deterministic(name: &str) -> bool {
-    name != "concurrent_committers"
-}
-
-/// Runs a pr3 scenario by name so pr8 measures the identical workload,
-/// then asserts the no-force property its snapshot must now exhibit:
-/// page write-back no longer scales with the commit count.
-fn rerun_pr3(name: &'static str, scale: &Scale, seed: u64) -> WorkloadResult {
-    let s = crate::pr3::scenarios()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("pr3 scenario");
-    let r = (s.run)(scale, seed);
-    let flushes = r.metrics.counter("pool.flushes");
-    let commits = r.metrics.counter("txn.commits");
-    assert!(
-        flushes <= 16,
-        "{name}: {flushes} page flushes across {commits} commits — \
-         commit is flushing pages again (no-force regression)"
-    );
-    r
-}
+use crate::{registry, Scale, WorkloadResult};
 
 /// Threads per committer pool and transactions per thread. Constant
 /// rather than scale-derived: the point is overlap, not volume.
@@ -95,14 +30,13 @@ const TXNS_PER_COMMITTER: usize = 40;
 /// far — so the force count must come out *below* the commit count
 /// (strictly, or group commit did nothing), with the batch sizes
 /// recorded in the `wal.force_batch` histogram.
-fn concurrent_committers(_scale: &Scale, seed: u64) -> WorkloadResult {
+pub(crate) fn concurrent_committers(_scale: &Scale, seed: u64) -> WorkloadResult {
     let db = Database::open_fresh(registry()).expect("open");
     db.execute_sql(
         "CREATE TABLE t (id INT NOT NULL, name STRING NOT NULL, dept INT, salary FLOAT)",
     )
     .expect("create table");
     let rd = db.catalog().get_by_name("t").expect("descriptor");
-    let forces_before = db.metrics_snapshot().counter("wal.forces");
     std::thread::scope(|scope| {
         for worker in 0..COMMITTERS {
             let db: Arc<Database> = db.clone();
@@ -130,93 +64,13 @@ fn concurrent_committers(_scale: &Scale, seed: u64) -> WorkloadResult {
     });
     let metrics = db.metrics_snapshot();
     let commits = metrics.counter("txn.commits");
-    let forces = metrics.counter("wal.forces") - forces_before;
     assert_eq!(
         commits as usize,
         COMMITTERS * TXNS_PER_COMMITTER + 1, // +1: the CREATE TABLE
         "every transaction must commit"
     );
-    assert!(
-        forces < commits,
-        "{forces} forces for {commits} commits: group commit batched nothing"
-    );
     WorkloadResult {
         ops: (COMMITTERS * TXNS_PER_COMMITTER) as u64,
         metrics,
-    }
-}
-
-/// Runs every scenario once, timing the deterministic region.
-pub fn run_timed(scale: &Scale, seed: u64) -> Vec<ScenarioOutcome> {
-    scenarios()
-        .into_iter()
-        .map(|s| {
-            let start = Instant::now();
-            let r = (s.run)(scale, seed);
-            let elapsed = start.elapsed();
-            ScenarioOutcome {
-                name: s.name,
-                ops: r.ops,
-                elapsed,
-                metrics: r.metrics,
-            }
-        })
-        .collect()
-}
-
-/// Renders the outcomes as the `BENCH_pr8.json` document.
-pub fn render_json(outcomes: &[ScenarioOutcome], seed: u64, scale: &Scale) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"suite\": \"pr8-recovery-architecture\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(
-        s,
-        "  \"scale\": {{\"rows\": {}, \"lookups\": {}, \"scans\": {}, \"dml_ops\": {}}},",
-        scale.rows, scale.lookups, scale.scans, scale.dml_ops
-    );
-    s.push_str("  \"scenarios\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let secs = o.elapsed.as_secs_f64();
-        let per_sec = if secs > 0.0 { o.ops as f64 / secs } else { 0.0 };
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"ops\": {}, \"elapsed_ms\": {:.3}, \
-             \"ops_per_sec\": {:.1}, \"metrics\": {}}}",
-            o.name,
-            o.ops,
-            secs * 1e3,
-            per_sec,
-            o.metrics.to_json()
-        );
-        s.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pr3::DEFAULT_SEED;
-
-    #[test]
-    fn smoke_scale_deterministic_scenarios_reproduce() {
-        let scale = Scale::smoke();
-        for s in scenarios() {
-            let a = (s.run)(&scale, DEFAULT_SEED);
-            if !is_deterministic(s.name) {
-                assert!(a.ops > 0);
-                continue;
-            }
-            let b = (s.run)(&scale, DEFAULT_SEED);
-            assert_eq!(a.ops, b.ops, "{}: op count drifted", s.name);
-            assert_eq!(
-                a.metrics, b.metrics,
-                "{}: same seed, different snapshot",
-                s.name
-            );
-        }
     }
 }

@@ -1,56 +1,31 @@
 //! PR9 MVCC scenarios: a read-mostly workload run twice — once with the
 //! pre-MVCC read path (every scanned record S-locked) and once against
-//! the transaction's snapshot (zero record locks). The seeded runs form
-//! the `BENCH_pr9.json` baseline.
+//! the transaction's snapshot (zero record locks). The seeded runs were
+//! first recorded as `BENCH_pr9.json`.
 //!
 //! The headline comparison is `lock.acquires` between the two
-//! scenarios: the workloads are identical (same seed, same scans, same
+//! lanes: the workloads are identical (same seed, same scans, same
 //! sprinkled updates), so the delta is purely the read-path visibility
-//! mechanism. `scripts/check.sh` ratchets the collapse at >= 10x and
-//! asserts the snapshot run actually exercised the version store
+//! mechanism. The "MVCC" gate holds the collapse at >= 10x and requires
+//! that the snapshot run actually exercised the version store
 //! (`mvcc.snapshot_scans` > 0).
 //!
-//! Determinism contract: both scenarios are single-threaded and fully
-//! seed-driven, so their metric snapshots reproduce byte-identically —
-//! [`is_deterministic`] is `true` for the whole suite.
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! Determinism contract: both lanes are single-threaded and fully
+//! seed-driven, so their metric snapshots reproduce byte-identically.
 
 use dmx_core::{AccessPath, AccessQuery};
 use dmx_query::{Session, SqlExt};
 use dmx_types::testrng::TestRng;
 use dmx_types::{Record, Value};
 
-use crate::pr3::{Scale, Scenario, ScenarioOutcome, WorkloadResult};
-
-/// The PR9 scenario suite.
-pub fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario {
-            name: "read_mostly_locking",
-            claim: "full-table scans S-lock every returned record (pre-MVCC path)",
-            run: |s, seed| read_mostly(s, seed, false),
-        },
-        Scenario {
-            name: "read_mostly_snapshot",
-            claim: "the same scans against the snapshot: zero record locks",
-            run: |s, seed| read_mostly(s, seed, true),
-        },
-    ]
-}
-
-/// Both scenarios are single-threaded and seed-driven.
-pub fn is_deterministic(_name: &str) -> bool {
-    true
-}
+use crate::{Scale, WorkloadResult};
 
 /// The read-mostly workload: `scale.scans` full-table scans over
 /// `scale.rows` rows with a ~5 % sprinkle of single-row updates between
 /// them (read-*mostly*, not read-only — the snapshot path must coexist
 /// with writers, not assume their absence). `snapshot` selects the read
 /// path; everything else is identical.
-fn read_mostly(scale: &Scale, seed: u64, snapshot: bool) -> WorkloadResult {
+pub(crate) fn read_mostly(scale: &Scale, seed: u64, snapshot: bool) -> WorkloadResult {
     let db = crate::open_db();
     db.execute_sql("CREATE TABLE r (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key=id)")
         .expect("create table");
@@ -108,8 +83,8 @@ fn read_mostly(scale: &Scale, seed: u64, snapshot: bool) -> WorkloadResult {
         }
     }
     // Publish the scan-phase lock traffic as its own counter so the
-    // baseline JSON (and the check.sh ratchet) can compare the scan
-    // paths directly, without the load/update phases' lock noise.
+    // "MVCC" gate can compare the scan paths directly, without the
+    // load/update phases' lock noise.
     db.metrics()
         .counter("bench.scan_lock_acquires")
         .add(scan_locks);
@@ -119,94 +94,8 @@ fn read_mostly(scale: &Scale, seed: u64, snapshot: bool) -> WorkloadResult {
         (scans * rows) as u64,
         "every scan must see every row"
     );
-    if snapshot {
-        assert!(
-            metrics.counter("mvcc.snapshot_scans") >= scans as u64,
-            "snapshot mode must route scans through the version store"
-        );
-    }
     WorkloadResult {
         ops: scans as u64 + writes,
         metrics,
-    }
-}
-
-/// Runs every scenario once, timing the deterministic region.
-pub fn run_timed(scale: &Scale, seed: u64) -> Vec<ScenarioOutcome> {
-    scenarios()
-        .into_iter()
-        .map(|s| {
-            let start = Instant::now();
-            let r = (s.run)(scale, seed);
-            let elapsed = start.elapsed();
-            ScenarioOutcome {
-                name: s.name,
-                ops: r.ops,
-                elapsed,
-                metrics: r.metrics,
-            }
-        })
-        .collect()
-}
-
-/// Renders the outcomes as the `BENCH_pr9.json` document.
-pub fn render_json(outcomes: &[ScenarioOutcome], seed: u64, scale: &Scale) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"suite\": \"pr9-mvcc-snapshot-reads\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(
-        s,
-        "  \"scale\": {{\"rows\": {}, \"lookups\": {}, \"scans\": {}, \"dml_ops\": {}}},",
-        scale.rows, scale.lookups, scale.scans, scale.dml_ops
-    );
-    s.push_str("  \"scenarios\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let secs = o.elapsed.as_secs_f64();
-        let per_sec = if secs > 0.0 { o.ops as f64 / secs } else { 0.0 };
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"ops\": {}, \"elapsed_ms\": {:.3}, \
-             \"ops_per_sec\": {:.1}, \"metrics\": {}}}",
-            o.name,
-            o.ops,
-            secs * 1e3,
-            per_sec,
-            o.metrics.to_json()
-        );
-        s.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pr3::DEFAULT_SEED;
-
-    #[test]
-    fn smoke_scale_scenarios_reproduce_and_locks_collapse() {
-        let scale = Scale::smoke();
-        let mut acquires = std::collections::HashMap::new();
-        for s in scenarios() {
-            let a = (s.run)(&scale, DEFAULT_SEED);
-            let b = (s.run)(&scale, DEFAULT_SEED);
-            assert_eq!(a.ops, b.ops, "{}: op count drifted", s.name);
-            assert_eq!(
-                a.metrics, b.metrics,
-                "{}: same seed, different snapshot",
-                s.name
-            );
-            acquires.insert(s.name, a.metrics.counter("bench.scan_lock_acquires"));
-        }
-        let locking = acquires["read_mostly_locking"];
-        let snapshot = acquires["read_mostly_snapshot"];
-        assert!(
-            snapshot * 10 <= locking,
-            "snapshot scans must collapse lock traffic >= 10x \
-             (locking {locking} vs snapshot {snapshot})"
-        );
     }
 }
