@@ -4,29 +4,28 @@
 //!
 //! Each instance maintains `COUNT(*)` and `SUM(<field>)` per group (or a
 //! single global group) in a B-tree keyed by the encoded group value.
-//! Maintenance is incremental: every relation modification applies a
-//! delta and logs the group's *before- and after-images* ([`A_DELTA`]);
-//! undo restores before-images in reverse log order and redo installs
-//! after-images in forward log order. Full images rather than deltas make
-//! both directions idempotent, which matters because numeric deltas are
-//! not presence-checkable the way index entries are: replaying a delta
-//! twice would double-count, installing an image twice cannot.
+//! Maintenance is incremental: every relation modification reads the
+//! group's cell, applies a delta and writes the new cell through the one
+//! logged tree write ([`dmx_core::write_tree`]), whose log record holds
+//! the cell's before- and after-state. Undo restores the before-state and
+//! redo installs the after-state. Full cells rather than deltas make both
+//! directions idempotent: replaying a delta twice would double-count,
+//! installing a cell twice cannot.
 
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, KeyRange,
-    RelationDescriptor, ScanItem, ScanOps, TreeEntries, TreeScan,
+    redo_tree_write, undo_tree_write, write_tree, AccessQuery, Attachment, AttachmentInstance,
+    CommonServices, ExecCtx, KeyRange, RelationDescriptor, ScanItem, ScanOps, TreeEntries, TreeRef,
+    TreeScan,
 };
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, Result, Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
+use dmx_wal::ExtKind;
 
-use crate::common::{
-    decode_att_payload, encode_att_payload, log_att, read_u16, read_u32, read_u64, A_DELTA,
-};
+use crate::common::{read_u16, read_u64};
 
 /// The maintained-aggregate attachment type.
 pub struct Aggregate;
@@ -34,8 +33,7 @@ pub struct Aggregate;
 /// Instance descriptor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeRef,
     /// Field whose SUM is maintained.
     pub sum_field: FieldId,
     /// Optional grouping field (`None` = one global group).
@@ -45,8 +43,7 @@ pub struct AggDesc {
 impl AggDesc {
     pub fn encode(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(13);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
+        self.tree.encode_into(&mut v);
         v.extend_from_slice(&self.sum_field.to_le_bytes());
         match self.group_field {
             None => v.push(0),
@@ -61,16 +58,14 @@ impl AggDesc {
     pub fn decode(b: &[u8]) -> Result<AggDesc> {
         const WHAT: &str = "aggregate descriptor";
         let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
-        let file = FileId(read_u32(b, 0, WHAT)?);
-        let root_page = read_u32(b, 4, WHAT)?;
+        let tree = TreeRef::decode_at(b, 0)?;
         let sum_field = read_u16(b, 8, WHAT)?;
         let group_field = match *b.get(10).ok_or_else(corrupt)? {
             0 => None,
             _ => Some(read_u16(b, 11, WHAT)?),
         };
         Ok(AggDesc {
-            file,
-            root_page,
+            tree,
             sum_field,
             group_field,
         })
@@ -91,59 +86,7 @@ fn decode_cell(b: &[u8]) -> Result<(i64, f64)> {
     ))
 }
 
-/// Before-image of a group's cell: `[0]` = absent, `[1] ∥ cell` = present.
-fn encode_before(cell: Option<(i64, f64)>) -> Vec<u8> {
-    match cell {
-        None => vec![0],
-        Some((c, s)) => {
-            let mut v = vec![1];
-            v.extend_from_slice(&encode_cell(c, s));
-            v
-        }
-    }
-}
-
-/// A group cell's logged image: `None` = the group was absent,
-/// `Some((count, sum))` otherwise.
-type CellImage = Option<(i64, f64)>;
-
-fn decode_before(b: &[u8]) -> Result<CellImage> {
-    match b.split_first() {
-        Some((0, _)) => Ok(None),
-        Some((1, rest)) => Ok(Some(decode_cell(rest)?)),
-        _ => Err(DmxError::Corrupt("bad aggregate before-image".into())),
-    }
-}
-
-/// Logged images of a group's cell: before-image then after-image, each
-/// self-delimiting ([`encode_before`]).
-fn encode_images(before: Option<(i64, f64)>, after: Option<(i64, f64)>) -> Vec<u8> {
-    let mut v = encode_before(before);
-    v.extend_from_slice(&encode_before(after));
-    v
-}
-
-fn decode_images(b: &[u8]) -> Result<(CellImage, CellImage)> {
-    let first_len = match b.first() {
-        Some(0) => 1,
-        Some(1) => 17,
-        _ => return Err(DmxError::Corrupt("bad aggregate image pair".into())),
-    };
-    let rest = b
-        .get(first_len..)
-        .ok_or_else(|| DmxError::Corrupt("short aggregate image pair".into()))?;
-    Ok((decode_before(b)?, decode_before(rest)?))
-}
-
 impl Aggregate {
-    fn tree(services: &Arc<CommonServices>, d: &AggDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
-    }
-
     fn group_key(d: &AggDesc, record: &Record) -> Result<Vec<u8>> {
         match d.group_field {
             None => Ok(encode_values(&[Value::Int(0)])),
@@ -165,43 +108,6 @@ impl Aggregate {
         }
     }
 
-    /// Reads a group's before-image (for undo logging).
-    fn read_before(
-        services: &Arc<CommonServices>,
-        desc: &[u8],
-        group: &[u8],
-    ) -> Result<Option<(i64, f64)>> {
-        let d = AggDesc::decode(desc)?;
-        Ok(match Self::tree(services, &d).get(group)? {
-            Some(cell) => Some(decode_cell(&cell)?),
-            None => None,
-        })
-    }
-
-    /// Installs a group's cell image (undo restores before-images, redo
-    /// installs after-images; forward execution installs the after-image
-    /// it just computed). Every dirtied page is stamped with `lsn` so the
-    /// cell cannot reach disk before its log record (write-ahead).
-    fn install_image(
-        services: &Arc<CommonServices>,
-        desc: &[u8],
-        group: &[u8],
-        image: Option<(i64, f64)>,
-        lsn: Lsn,
-    ) -> Result<()> {
-        let d = AggDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        match image {
-            None => {
-                tree.delete(group)?;
-            }
-            Some((c, s)) => {
-                tree.insert(group, &encode_cell(c, s), OnDuplicate::Replace)?;
-            }
-        }
-        Ok(())
-    }
-
     fn delta(
         &self,
         ctx: &ExecCtx<'_>,
@@ -213,27 +119,16 @@ impl Aggregate {
         let d = AggDesc::decode(&inst.desc)?;
         let group = Self::group_key(&d, record)?;
         let dsum = Self::sum_value(&d, record)? * sign as f64;
-        let before = Self::read_before(ctx.services(), &inst.desc, &group)?;
-        let (count, sum) = before.unwrap_or((0, 0.0));
+        let before = d.tree.open(ctx.services()).get(&group)?;
+        let (count, sum) = match &before {
+            Some(cell) => decode_cell(cell)?,
+            None => (0, 0.0),
+        };
         let (nc, ns) = (count + sign, sum + dsum);
-        let after = if nc <= 0 { None } else { Some((nc, ns)) };
-        let att = rd
-            .attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default();
-        let lsn = log_att(
-            ctx,
-            rd,
-            att,
-            A_DELTA,
-            encode_att_payload(&inst.desc, &group, &encode_images(before, after)),
-        );
-        Self::install_image(ctx.services(), &inst.desc, &group, after, lsn)
+        let after = (nc > 0).then(|| encode_cell(nc, ns));
+        let ext = ExtKind::Attachment(rd.attachment_type(inst)?);
+        let (old, new) = (before.as_deref(), after.as_deref());
+        write_tree(ctx, ext, rd.id, d.tree, &group, old, new)
     }
 }
 
@@ -263,12 +158,8 @@ impl Attachment for Aggregate {
             Some(g) => Some(rd.schema.field_id(g)?),
             None => None,
         };
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
         Ok(AggDesc {
-            file,
-            root_page: tree.root().page_no,
+            tree: TreeRef::create(ctx.services())?,
             sum_field,
             group_field,
         }
@@ -276,10 +167,7 @@ impl Attachment for Aggregate {
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = AggDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        AggDesc::decode(inst_desc)?.tree.destroy(services)
     }
 
     fn on_insert(
@@ -335,14 +223,7 @@ impl Attachment for Aggregate {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad aggregate op {op}")));
-        }
-        let (desc, group, images) = decode_att_payload(payload)?;
-        let (before, _) = decode_images(images)?;
-        // Restoring full before-images in reverse log order is correct
-        // regardless of which deltas actually reached disk.
-        Self::install_image(services, desc, group, before, lsn)
+        undo_tree_write(services, lsn, op, payload).map(drop)
     }
 
     fn redo(
@@ -353,14 +234,23 @@ impl Attachment for Aggregate {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad aggregate op {op}")));
+        redo_tree_write(services, lsn, op, payload).map(drop)
+    }
+
+    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
+        AggDesc::decode(inst_desc)
+            .map(|d| vec![d.tree.file])
+            .unwrap_or_default()
+    }
+
+    fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
+        let d = AggDesc::decode(inst_desc)?;
+        let name = |f: FieldId| rd.schema.column(f).map(|c| c.name.clone());
+        let mut pairs = vec![("sum".to_string(), name(d.sum_field)?)];
+        if let Some(g) = d.group_field {
+            pairs.push(("group_by".to_string(), name(g)?));
         }
-        let (desc, group, images) = decode_att_payload(payload)?;
-        let (_, after) = decode_images(images)?;
-        // Installing full after-images in forward log order converges on
-        // the committed cell values no matter how much reached disk.
-        Self::install_image(services, desc, group, after, lsn)
+        AttrList::from_pairs(pairs)
     }
 
     fn supports_access(&self) -> bool {
@@ -377,7 +267,7 @@ impl Attachment for Aggregate {
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let d = AggDesc::decode(&instance.desc)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree.open(ctx.services());
         let range = match query {
             AccessQuery::All => KeyRange::all(),
             AccessQuery::KeyEquals(k) => KeyRange::exact(k.clone()),

@@ -14,22 +14,19 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
-    lock_write_gaps, project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance,
-    CommonServices, Cost, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps,
-    TreeEntries, TreeScan,
+    lock_write_gaps, project_values, redo_tree_write, undo_tree_write, write_tree, AccessPath,
+    AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx, KeyRange,
+    PathChoice, RelationDescriptor, ScanItem, ScanOps, TreeEntries, TreeRef, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, Result, Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
+use dmx_wal::ExtKind;
 
-use crate::common::{
-    decode_att_payload, encode_att_payload, field_values, log_att, parse_fields, prefix_successor,
-    read_u16, read_u32, A_DELETE, A_INSERT,
-};
+use crate::common::{field_values, parse_fields, prefix_successor, read_u16};
 
 /// The B-tree index attachment type.
 pub struct BTreeIndex;
@@ -37,8 +34,7 @@ pub struct BTreeIndex;
 /// Instance descriptor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IxDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeRef,
     pub unique: bool,
     pub fields: Vec<FieldId>,
 }
@@ -46,8 +42,7 @@ pub struct IxDesc {
 impl IxDesc {
     pub fn encode(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(11 + self.fields.len() * 2);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
+        self.tree.encode_into(&mut v);
         v.push(self.unique as u8);
         v.extend_from_slice(&(self.fields.len() as u16).to_le_bytes());
         for f in &self.fields {
@@ -59,8 +54,7 @@ impl IxDesc {
     pub fn decode(b: &[u8]) -> Result<IxDesc> {
         const WHAT: &str = "index descriptor";
         let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
-        let file = FileId(read_u32(b, 0, WHAT)?);
-        let root_page = read_u32(b, 4, WHAT)?;
+        let tree = TreeRef::decode_at(b, 0)?;
         let unique = *b.get(8).ok_or_else(corrupt)? != 0;
         let n = read_u16(b, 9, WHAT)? as usize;
         let mut fields = Vec::with_capacity(n);
@@ -68,8 +62,7 @@ impl IxDesc {
             fields.push(read_u16(b, 11 + 2 * i, WHAT)?);
         }
         Ok(IxDesc {
-            file,
-            root_page,
+            tree,
             unique,
             fields,
         })
@@ -77,14 +70,6 @@ impl IxDesc {
 }
 
 impl BTreeIndex {
-    fn tree(services: &Arc<CommonServices>, d: &IxDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
-    }
-
     fn prefix(d: &IxDesc, record: &Record) -> Result<Vec<u8>> {
         Ok(encode_values(&field_values(record, &d.fields)?))
     }
@@ -106,7 +91,7 @@ impl BTreeIndex {
     ) -> Result<()> {
         let d = IxDesc::decode(&inst.desc)?;
         let prefix = Self::prefix(&d, record)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree.open(ctx.services());
         if d.unique && tree.contains_prefix(&prefix)? {
             return Err(DmxError::veto(
                 self.name(),
@@ -116,21 +101,9 @@ impl BTreeIndex {
         let full = Self::full_key(&prefix, key);
         // Fence the entry against locked index-range scans.
         lock_write_gaps(ctx, rd.id, &tree, None, &full, false)?;
-        // Log first, then apply with the record's LSN stamped onto every
-        // page the tree op dirties: the flush hook forces the log through
-        // a page's LSN before writing it, so the entry can never reach
-        // disk ahead of the record that lets recovery undo it. (The undo
-        // handler tolerates the converse — logged but never applied.)
-        let lsn = log_att(
-            ctx,
-            rd,
-            find_type_id(rd, inst),
-            A_INSERT,
-            encode_att_payload(&inst.desc, &full, key.as_bytes()),
-        );
-        tree.with_wal_lsn(lsn)
-            .insert(&full, key.as_bytes(), OnDuplicate::Error)?;
-        Ok(())
+        // No before-image: the appended record key makes the entry key new.
+        let ext = ExtKind::Attachment(rd.attachment_type(inst)?);
+        write_tree(ctx, ext, rd.id, d.tree, &full, None, Some(key.as_bytes()))
     }
 
     fn delete_entry(
@@ -144,21 +117,13 @@ impl BTreeIndex {
         let d = IxDesc::decode(&inst.desc)?;
         let prefix = Self::prefix(&d, record)?;
         let full = Self::full_key(&prefix, key);
-        let tree = Self::tree(ctx.services(), &d);
-        if tree.get(&full)?.is_none() {
+        let tree = d.tree.open(ctx.services());
+        let Some(old) = tree.get(&full)? else {
             return Ok(());
-        }
+        };
         lock_write_gaps(ctx, rd.id, &tree, None, &full, true)?;
-        // Write-ahead: log, then delete with the LSN stamped (see insert).
-        let lsn = log_att(
-            ctx,
-            rd,
-            find_type_id(rd, inst),
-            A_DELETE,
-            encode_att_payload(&inst.desc, &full, key.as_bytes()),
-        );
-        tree.with_wal_lsn(lsn).delete(&full)?;
-        Ok(())
+        let ext = ExtKind::Attachment(rd.attachment_type(inst)?);
+        write_tree(ctx, ext, rd.id, d.tree, &full, Some(&old), None)
     }
 }
 
@@ -182,12 +147,8 @@ impl Attachment for BTreeIndex {
     ) -> Result<Vec<u8>> {
         let fields = parse_fields(params, "fields", "btree index", &rd.schema)?;
         let unique = params.get_bool("unique", false)?;
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
         Ok(IxDesc {
-            file,
-            root_page: tree.root().page_no,
+            tree: TreeRef::create(ctx.services())?,
             unique,
             fields,
         }
@@ -195,10 +156,7 @@ impl Attachment for BTreeIndex {
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = IxDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        IxDesc::decode(inst_desc)?.tree.destroy(services)
     }
 
     fn on_insert(
@@ -260,19 +218,7 @@ impl Attachment for BTreeIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = IxDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        match op {
-            A_INSERT => {
-                tree.delete(key)?;
-            }
-            A_DELETE => {
-                tree.insert(key, extra, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad index op {other}"))),
-        }
-        Ok(())
+        undo_tree_write(services, lsn, op, payload).map(drop)
     }
 
     fn redo(
@@ -283,21 +229,7 @@ impl Attachment for BTreeIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = IxDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        // Forward mirror of undo: replace/absent-tolerant, so replaying
-        // an entry already present in the checkpoint image is a no-op.
-        match op {
-            A_INSERT => {
-                tree.insert(key, extra, OnDuplicate::Replace)?;
-            }
-            A_DELETE => {
-                tree.delete(key)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad index op {other}"))),
-        }
-        Ok(())
+        redo_tree_write(services, lsn, op, payload).map(drop)
     }
 
     fn supports_access(&self) -> bool {
@@ -306,7 +238,7 @@ impl Attachment for BTreeIndex {
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
         IxDesc::decode(inst_desc)
-            .map(|d| vec![d.file])
+            .map(|d| vec![d.tree.file])
             .unwrap_or_default()
     }
 
@@ -331,7 +263,7 @@ impl Attachment for BTreeIndex {
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let d = IxDesc::decode(&instance.desc)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree.open(ctx.services());
         let range = translate_prefix_range(query)?;
         Ok(Box::new(TreeScan::new(
             &tree,
@@ -427,7 +359,7 @@ impl Attachment for BTreeIndex {
         let height = (records.max(2) as f64).log2() / 7.0 + 1.0;
         let leaf_pages = (rows / 100.0).ceil();
         Some(PathChoice {
-            path: AccessPath::Attachment(find_type_id(rd, instance), instance.instance),
+            path: AccessPath::Attachment(rd.attachment_type(instance).ok()?, instance.instance),
             query: AccessQuery::Range(KeyRange { lo, hi }),
             cost: Cost::new(height + leaf_pages, rows),
             rows_out: rows.max(0.001),
@@ -452,17 +384,6 @@ fn pred_index(preds: &[Expr], sarg_idx: usize, _sargs: &[analyze::Sarg]) -> usiz
         }
     }
     0
-}
-
-fn find_type_id(rd: &RelationDescriptor, instance: &AttachmentInstance) -> dmx_types::AttTypeId {
-    rd.attached_types()
-        .find(|(_, insts)| {
-            insts
-                .iter()
-                .any(|i| i.instance == instance.instance && i.name == instance.name)
-        })
-        .map(|(t, _)| t)
-        .unwrap_or_default()
 }
 
 fn prefix_hi(prefix: &[u8]) -> Bound<Vec<u8>> {

@@ -8,9 +8,6 @@ use dmx_wal::ExtKind;
 pub const A_INSERT: u8 = 1;
 /// Attachment op code: an entry was removed.
 pub const A_DELETE: u8 = 2;
-/// Attachment op code: a numeric delta was applied (maintained
-/// aggregates).
-pub const A_DELTA: u8 = 3;
 
 /// Encodes an attachment undo payload. The *instance descriptor* is
 /// embedded so undo never needs a catalog lookup (the instance may even

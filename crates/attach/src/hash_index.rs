@@ -13,38 +13,34 @@ use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
-    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps, TreeEntries, TreeScan,
+    redo_tree_write, undo_tree_write, write_tree, AccessPath, AccessQuery, Attachment,
+    AttachmentInstance, CommonServices, Cost, ExecCtx, KeyRange, PathChoice, RelationDescriptor,
+    ScanItem, ScanOps, TreeEntries, TreeRef, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey,
-    Result, Schema, Value,
+    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
+    Schema, Value,
 };
+use dmx_wal::ExtKind;
 
-use crate::common::{
-    decode_att_payload, encode_att_payload, field_values, log_att, parse_fields, prefix_successor,
-    read_u16, read_u32, tail, A_DELETE, A_INSERT,
-};
+use crate::common::{field_values, parse_fields, prefix_successor, read_u16, tail};
 
 /// The hash-index attachment type.
 pub struct HashIndex;
 
-/// Instance descriptor: file + root + field list.
+/// Instance descriptor: tree + field list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HashDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeRef,
     pub fields: Vec<FieldId>,
 }
 
 impl HashDesc {
     pub fn encode(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(10 + self.fields.len() * 2);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
+        self.tree.encode_into(&mut v);
         v.extend_from_slice(&(self.fields.len() as u16).to_le_bytes());
         for f in &self.fields {
             v.extend_from_slice(&f.to_le_bytes());
@@ -54,18 +50,13 @@ impl HashDesc {
 
     pub fn decode(b: &[u8]) -> Result<HashDesc> {
         const WHAT: &str = "hash descriptor";
-        let file = FileId(read_u32(b, 0, WHAT)?);
-        let root_page = read_u32(b, 4, WHAT)?;
+        let tree = TreeRef::decode_at(b, 0)?;
         let n = read_u16(b, 8, WHAT)? as usize;
         let mut fields = Vec::with_capacity(n);
         for i in 0..n {
             fields.push(read_u16(b, 10 + 2 * i, WHAT)?);
         }
-        Ok(HashDesc {
-            file,
-            root_page,
-            fields,
-        })
+        Ok(HashDesc { tree, fields })
     }
 }
 
@@ -84,30 +75,11 @@ fn probe_prefix(values_enc: &[u8]) -> Vec<u8> {
 }
 
 impl HashIndex {
-    fn tree(services: &Arc<CommonServices>, d: &HashDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
-    }
-
     fn entry_key(d: &HashDesc, record: &Record, rkey: &RecordKey) -> Result<Vec<u8>> {
         let enc = encode_values(&field_values(record, &d.fields)?);
         let mut full = probe_prefix(&enc);
         full.extend_from_slice(rkey.as_bytes());
         Ok(full)
-    }
-
-    fn type_id(rd: &RelationDescriptor, inst: &AttachmentInstance) -> dmx_types::AttTypeId {
-        rd.attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default()
     }
 }
 
@@ -129,22 +101,12 @@ impl Attachment for HashIndex {
         params: &AttrList,
     ) -> Result<Vec<u8>> {
         let fields = parse_fields(params, "fields", "hash index", &rd.schema)?;
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
-        Ok(HashDesc {
-            file,
-            root_page: tree.root().page_no,
-            fields,
-        }
-        .encode())
+        let tree = TreeRef::create(ctx.services())?;
+        Ok(HashDesc { tree, fields }.encode())
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = HashDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        HashDesc::decode(inst_desc)?.tree.destroy(services)
     }
 
     fn on_insert(
@@ -158,20 +120,8 @@ impl Attachment for HashIndex {
         for inst in instances {
             let d = HashDesc::decode(&inst.desc)?;
             let full = Self::entry_key(&d, new, key)?;
-            // Log first, then apply with the LSN stamped onto dirtied
-            // pages so the entry cannot reach disk before its log record.
-            let lsn = log_att(
-                ctx,
-                rd,
-                Self::type_id(rd, inst),
-                A_INSERT,
-                encode_att_payload(&inst.desc, &full, key.as_bytes()),
-            );
-            Self::tree(ctx.services(), &d).with_wal_lsn(lsn).insert(
-                &full,
-                key.as_bytes(),
-                OnDuplicate::Error,
-            )?;
+            let ext = ExtKind::Attachment(rd.attachment_type(inst)?);
+            write_tree(ctx, ext, rd.id, d.tree, &full, None, Some(key.as_bytes()))?;
         }
         Ok(())
     }
@@ -193,26 +143,12 @@ impl Attachment for HashIndex {
             if old_full == new_full {
                 continue;
             }
-            let tree = Self::tree(ctx.services(), &d);
-            if tree.get(&old_full)?.is_some() {
-                let lsn = log_att(
-                    ctx,
-                    rd,
-                    Self::type_id(rd, inst),
-                    A_DELETE,
-                    encode_att_payload(&inst.desc, &old_full, old_key.as_bytes()),
-                );
-                tree.clone().with_wal_lsn(lsn).delete(&old_full)?;
+            let ext = ExtKind::Attachment(rd.attachment_type(inst)?);
+            if let Some(old) = d.tree.open(ctx.services()).get(&old_full)? {
+                write_tree(ctx, ext, rd.id, d.tree, &old_full, Some(&old), None)?;
             }
-            let lsn = log_att(
-                ctx,
-                rd,
-                Self::type_id(rd, inst),
-                A_INSERT,
-                encode_att_payload(&inst.desc, &new_full, new_key.as_bytes()),
-            );
-            tree.with_wal_lsn(lsn)
-                .insert(&new_full, new_key.as_bytes(), OnDuplicate::Error)?;
+            let after = Some(new_key.as_bytes());
+            write_tree(ctx, ext, rd.id, d.tree, &new_full, None, after)?;
         }
         Ok(())
     }
@@ -228,16 +164,9 @@ impl Attachment for HashIndex {
         for inst in instances {
             let d = HashDesc::decode(&inst.desc)?;
             let full = Self::entry_key(&d, old, key)?;
-            let tree = Self::tree(ctx.services(), &d);
-            if tree.get(&full)?.is_some() {
-                let lsn = log_att(
-                    ctx,
-                    rd,
-                    Self::type_id(rd, inst),
-                    A_DELETE,
-                    encode_att_payload(&inst.desc, &full, key.as_bytes()),
-                );
-                tree.with_wal_lsn(lsn).delete(&full)?;
+            if let Some(entry) = d.tree.open(ctx.services()).get(&full)? {
+                let ext = ExtKind::Attachment(rd.attachment_type(inst)?);
+                write_tree(ctx, ext, rd.id, d.tree, &full, Some(&entry), None)?;
             }
         }
         Ok(())
@@ -251,19 +180,7 @@ impl Attachment for HashIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = HashDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        match op {
-            A_INSERT => {
-                tree.delete(key)?;
-            }
-            A_DELETE => {
-                tree.insert(key, extra, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad hash op {other}"))),
-        }
-        Ok(())
+        undo_tree_write(services, lsn, op, payload).map(drop)
     }
 
     fn redo(
@@ -274,20 +191,7 @@ impl Attachment for HashIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = HashDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        // Forward mirror of undo; idempotent by construction.
-        match op {
-            A_INSERT => {
-                tree.insert(key, extra, OnDuplicate::Replace)?;
-            }
-            A_DELETE => {
-                tree.delete(key)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad hash op {other}"))),
-        }
-        Ok(())
+        redo_tree_write(services, lsn, op, payload).map(drop)
     }
 
     fn supports_access(&self) -> bool {
@@ -296,7 +200,7 @@ impl Attachment for HashIndex {
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
         HashDesc::decode(inst_desc)
-            .map(|d| vec![d.file])
+            .map(|d| vec![d.tree.file])
             .unwrap_or_default()
     }
 
@@ -318,7 +222,7 @@ impl Attachment for HashIndex {
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let d = HashDesc::decode(&instance.desc)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree.open(ctx.services());
         let prefix = match query {
             AccessQuery::KeyEquals(values_enc) => probe_prefix(values_enc),
             _ => {
@@ -381,7 +285,7 @@ impl Attachment for HashIndex {
             .unwrap_or(0.01);
         let rows = (records as f64 * frac).max(1.0);
         Some(PathChoice {
-            path: AccessPath::Attachment(Self::type_id(rd, instance), instance.instance),
+            path: AccessPath::Attachment(rd.attachment_type(instance).ok()?, instance.instance),
             query: AccessQuery::KeyEquals(enc),
             // a hash probe is ~1–2 page touches regardless of size
             cost: Cost::new(1.5, rows),

@@ -19,27 +19,25 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, KeyRange,
-    RelationDescriptor, ScanItem, ScanOps, TreeEntries, TreeScan,
+    redo_tree_write, undo_tree_write, write_tree, AccessQuery, Attachment, AttachmentInstance,
+    CommonServices, ExecCtx, KeyRange, RelationDescriptor, ScanItem, ScanOps, TreeEntries, TreeRef,
+    TreeScan,
 };
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey,
-    Result, Schema, Value,
+    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
+    Schema, Value,
 };
+use dmx_wal::ExtKind;
 
-use crate::common::{
-    decode_att_payload, encode_att_payload, field_values, log_att, parse_fields, prefix_successor,
-    read_u16, read_u32, tail, A_DELETE, A_INSERT,
-};
+use crate::common::{field_values, parse_fields, prefix_successor, read_u16, tail};
 
 /// The join-index attachment type.
 pub struct JoinIndex;
 
-const TREE_PAIRS: u8 = 0;
-const TREE_LEFT: u8 = 1;
-const TREE_RIGHT: u8 = 2;
+const TREE_PAIRS: usize = 0;
+const TREE_LEFT: usize = 1;
+const TREE_RIGHT: usize = 2;
 
 /// Instance descriptor (mirrored on both relations, differing only in
 /// `is_left` and `fields`).
@@ -47,8 +45,8 @@ const TREE_RIGHT: u8 = 2;
 pub struct JiDesc {
     pub is_left: bool,
     pub fields: Vec<FieldId>,
-    /// (file, root) for pairs / left / right trees.
-    pub trees: [(FileId, u32); 3],
+    /// The pairs / left / right trees.
+    pub trees: [TreeRef; 3],
 }
 
 impl JiDesc {
@@ -58,9 +56,8 @@ impl JiDesc {
         for f in &self.fields {
             v.extend_from_slice(&f.to_le_bytes());
         }
-        for (file, root) in &self.trees {
-            v.extend_from_slice(&file.0.to_le_bytes());
-            v.extend_from_slice(&root.to_le_bytes());
+        for t in &self.trees {
+            t.encode_into(&mut v);
         }
         v
     }
@@ -76,11 +73,11 @@ impl JiDesc {
             fields.push(read_u16(b, pos, WHAT)?);
             pos += 2;
         }
-        let mut trees = [(FileId(0), 0u32); 3];
-        for t in &mut trees {
-            *t = (FileId(read_u32(b, pos, WHAT)?), read_u32(b, pos + 4, WHAT)?);
-            pos += 8;
-        }
+        let trees = [
+            TreeRef::decode_at(b, pos)?,
+            TreeRef::decode_at(b, pos + TreeRef::LEN)?,
+            TreeRef::decode_at(b, pos + 2 * TreeRef::LEN)?,
+        ];
         Ok(JiDesc {
             is_left,
             fields,
@@ -106,85 +103,13 @@ fn decode_pair_value(v: &[u8]) -> Result<(&[u8], &[u8])> {
 }
 
 impl JoinIndex {
-    fn tree(services: &Arc<CommonServices>, d: &JiDesc, which: u8) -> BTree {
-        let (file, root) = d.trees[which as usize];
-        BTree::open(&services.pool, PageId::new(file, root), &services.latches)
-    }
-
-    fn type_id(rd: &RelationDescriptor, inst: &AttachmentInstance) -> dmx_types::AttTypeId {
-        rd.attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default()
-    }
-
-    // Internal helper mirroring the log-record payload; splitting the
-    // argument list into a struct would only restate `JiDesc`.
-    #[allow(clippy::too_many_arguments)]
-    fn logged_insert(
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        att: dmx_types::AttTypeId,
-        desc: &[u8],
-        d: &JiDesc,
-        which: u8,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<()> {
-        // Log first, then apply with the LSN stamped onto dirtied pages
-        // so the entry cannot reach disk before its log record.
-        let mut extra = vec![which];
-        extra.extend_from_slice(value);
-        let lsn = log_att(
-            ctx,
-            rd,
-            att,
-            A_INSERT,
-            encode_att_payload(desc, key, &extra),
-        );
-        Self::tree(ctx.services(), d, which)
-            .with_wal_lsn(lsn)
-            .insert(key, value, OnDuplicate::Replace)?;
-        Ok(())
-    }
-
-    fn logged_delete(
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        att: dmx_types::AttTypeId,
-        desc: &[u8],
-        d: &JiDesc,
-        which: u8,
-        key: &[u8],
-    ) -> Result<()> {
-        let tree = Self::tree(ctx.services(), d, which);
-        if let Some(old) = tree.get(key)? {
-            let mut extra = vec![which];
-            extra.extend_from_slice(&old);
-            let lsn = log_att(
-                ctx,
-                rd,
-                att,
-                A_DELETE,
-                encode_att_payload(desc, key, &extra),
-            );
-            tree.with_wal_lsn(lsn).delete(key)?;
-        }
-        Ok(())
-    }
-
     /// Keys in `tree` with prefix `p`, with their values.
     fn prefix_entries(
         services: &Arc<CommonServices>,
-        d: &JiDesc,
-        which: u8,
+        tree: TreeRef,
         p: &[u8],
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let tree = Self::tree(services, d, which);
+        let tree = tree.open(services);
         let hi = match prefix_successor(p) {
             Some(s) => Bound::Excluded(s),
             None => Bound::Unbounded,
@@ -207,7 +132,7 @@ impl JoinIndex {
         record: &Record,
     ) -> Result<()> {
         let d = JiDesc::decode(&inst.desc)?;
-        let att = Self::type_id(rd, inst);
+        let ext = ExtKind::Attachment(rd.attachment_type(inst)?);
         let values = field_values(record, &d.fields)?;
         if values.iter().any(|v| v.is_null()) {
             return Ok(()); // NULL join values never match
@@ -221,18 +146,11 @@ impl JoinIndex {
         // 1. register this key under its join value
         let mut my_key = v.clone();
         my_key.extend_from_slice(key.as_bytes());
-        Self::logged_insert(
-            ctx,
-            rd,
-            att,
-            &inst.desc,
-            &d,
-            my_tree,
-            &my_key,
-            key.as_bytes(),
-        )?;
+        let mine = Some(key.as_bytes());
+        write_tree(ctx, ext, rd.id, d.trees[my_tree], &my_key, None, mine)?;
         // 2. pair with every matching key on the other side
-        for (_, other_key) in Self::prefix_entries(ctx.services(), &d, other_tree, &v)? {
+        let pairs = d.trees[TREE_PAIRS];
+        for (_, other_key) in Self::prefix_entries(ctx.services(), d.trees[other_tree], &v)? {
             let (lkey, rkey) = if d.is_left {
                 (key.as_bytes(), other_key.as_slice())
             } else {
@@ -241,16 +159,8 @@ impl JoinIndex {
             let mut pair_key = v.clone();
             pair_key.extend_from_slice(lkey);
             pair_key.extend_from_slice(rkey);
-            Self::logged_insert(
-                ctx,
-                rd,
-                att,
-                &inst.desc,
-                &d,
-                TREE_PAIRS,
-                &pair_key,
-                &encode_pair_value(lkey, rkey),
-            )?;
+            let pair = encode_pair_value(lkey, rkey);
+            write_tree(ctx, ext, rd.id, pairs, &pair_key, None, Some(&pair))?;
         }
         Ok(())
     }
@@ -265,22 +175,25 @@ impl JoinIndex {
         record: &Record,
     ) -> Result<()> {
         let d = JiDesc::decode(&inst.desc)?;
-        let att = Self::type_id(rd, inst);
+        let ext = ExtKind::Attachment(rd.attachment_type(inst)?);
         let values = field_values(record, &d.fields)?;
         if values.iter().any(|v| v.is_null()) {
             return Ok(());
         }
         let v = encode_values(&values);
-        let my_tree = if d.is_left { TREE_LEFT } else { TREE_RIGHT };
+        let mine = d.trees[if d.is_left { TREE_LEFT } else { TREE_RIGHT }];
         let mut my_key = v.clone();
         my_key.extend_from_slice(key.as_bytes());
-        Self::logged_delete(ctx, rd, att, &inst.desc, &d, my_tree, &my_key)?;
+        if let Some(old) = mine.open(ctx.services()).get(&my_key)? {
+            write_tree(ctx, ext, rd.id, mine, &my_key, Some(&old), None)?;
+        }
         // drop every pair involving this key
-        for (pair_key, pair_val) in Self::prefix_entries(ctx.services(), &d, TREE_PAIRS, &v)? {
+        let pairs = d.trees[TREE_PAIRS];
+        for (pair_key, pair_val) in Self::prefix_entries(ctx.services(), pairs, &v)? {
             let (lkey, rkey) = decode_pair_value(&pair_val)?;
             let mine = if d.is_left { lkey } else { rkey };
             if mine == key.as_bytes() {
-                Self::logged_delete(ctx, rd, att, &inst.desc, &d, TREE_PAIRS, &pair_key)?;
+                write_tree(ctx, ext, rd.id, pairs, &pair_key, Some(&pair_val), None)?;
             }
         }
         Ok(())
@@ -322,13 +235,11 @@ impl Attachment for JoinIndex {
         let trees = if is_left {
             // the left side creates the shared structures
             let services = ctx.services();
-            let mut trees = [(FileId(0), 0u32); 3];
-            for t in &mut trees {
-                let file = services.disk.create_file()?;
-                let tree = BTree::create(&services.pool, file, &services.latches)?;
-                *t = (file, tree.root().page_no);
-            }
-            trees
+            [
+                TreeRef::create(services)?,
+                TreeRef::create(services)?,
+                TreeRef::create(services)?,
+            ]
         } else {
             // the right side adopts the trees from the left instance
             // (looked up by attachment name on the other relation)
@@ -353,10 +264,8 @@ impl Attachment for JoinIndex {
         let d = JiDesc::decode(inst_desc)?;
         // only the left (creator) side owns the physical trees
         if d.is_left {
-            for (file, root) in d.trees {
-                services.latches.forget(PageId::new(file, root));
-                services.pool.discard_file(file);
-                match services.disk.delete_file(file) {
+            for t in d.trees {
+                match t.destroy(services) {
                     Err(DmxError::NotFound(_)) | Ok(()) => {}
                     Err(e) => return Err(e),
                 }
@@ -424,22 +333,7 @@ impl Attachment for JoinIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = JiDesc::decode(desc)?;
-        let (&which, value) = extra
-            .split_first()
-            .ok_or_else(|| DmxError::Corrupt("short join-index undo".into()))?;
-        let tree = Self::tree(services, &d, which).with_wal_lsn(lsn);
-        match op {
-            A_INSERT => {
-                tree.delete(key)?;
-            }
-            A_DELETE => {
-                tree.insert(key, value, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad join-index op {other}"))),
-        }
-        Ok(())
+        undo_tree_write(services, lsn, op, payload).map(drop)
     }
 
     fn redo(
@@ -450,23 +344,16 @@ impl Attachment for JoinIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = JiDesc::decode(desc)?;
-        let (&which, value) = extra
-            .split_first()
-            .ok_or_else(|| DmxError::Corrupt("short join-index redo".into()))?;
-        let tree = Self::tree(services, &d, which).with_wal_lsn(lsn);
-        // Forward mirror of undo; idempotent by construction.
-        match op {
-            A_INSERT => {
-                tree.insert(key, value, OnDuplicate::Replace)?;
-            }
-            A_DELETE => {
-                tree.delete(key)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad join-index op {other}"))),
+        redo_tree_write(services, lsn, op, payload).map(drop)
+    }
+
+    /// The left (creator) side owns the three trees, so its DDL commit
+    /// flushes them and the scrubber walks them; the right side owns none.
+    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
+        match JiDesc::decode(inst_desc) {
+            Ok(d) if d.is_left => d.trees.iter().map(|t| t.file).collect(),
+            _ => Vec::new(),
         }
-        Ok(())
     }
 
     fn supports_access(&self) -> bool {
@@ -490,7 +377,7 @@ impl Attachment for JoinIndex {
                 "join index serves full pair scans".into(),
             ));
         }
-        let tree = Self::tree(ctx.services(), &d, TREE_PAIRS);
+        let tree = d.trees[TREE_PAIRS].open(ctx.services());
         Ok(Box::new(TreeScan::new(
             &tree,
             KeyRange::all(),

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use dmx_btree::{LatchTable, TreeLatch};
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    PathChoice, RelationDescriptor, ScanItem, ScanOps, SpatialOp,
+    PathChoice, RelationDescriptor, ScanItem, ScanOps, SpatialOp, TreeRef,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_page::{BufferPool, Page, SlottedPage};
@@ -27,7 +27,9 @@ use dmx_types::{
     Value,
 };
 
-use crate::common::{decode_att_payload, encode_att_payload, log_att, A_DELETE, A_INSERT};
+use crate::common::{
+    decode_att_payload, encode_att_payload, log_att, read_u16, A_DELETE, A_INSERT,
+};
 
 /// Page type tags.
 pub const PAGE_TYPE_RTREE_LEAF: u8 = 5;
@@ -42,38 +44,22 @@ pub struct RTreeIndex;
 /// Instance descriptor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeRef,
     pub rect_field: FieldId,
 }
 
 impl RtDesc {
     pub fn encode(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(10);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
+        self.tree.encode_into(&mut v);
         v.extend_from_slice(&self.rect_field.to_le_bytes());
         v
     }
 
     pub fn decode(b: &[u8]) -> Result<RtDesc> {
-        let corrupt = || DmxError::Corrupt("short rtree descriptor".into());
-        let u32_at = |off: usize| -> Result<u32> {
-            b.get(off..off + 4)
-                .and_then(|s| s.try_into().ok())
-                .map(u32::from_le_bytes)
-                .ok_or_else(corrupt)
-        };
-        let u16_at = |off: usize| -> Result<u16> {
-            b.get(off..off + 2)
-                .and_then(|s| s.try_into().ok())
-                .map(u16::from_le_bytes)
-                .ok_or_else(corrupt)
-        };
         Ok(RtDesc {
-            file: FileId(u32_at(0)?),
-            root_page: u32_at(4)?,
-            rect_field: u16_at(8)?,
+            tree: TreeRef::decode_at(b, 0)?,
+            rect_field: read_u16(b, 8, "rtree descriptor")?,
         })
     }
 }
@@ -553,11 +539,7 @@ impl RTree {
 
 impl RTreeIndex {
     fn tree(services: &Arc<CommonServices>, d: &RtDesc) -> RTree {
-        RTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
+        RTree::open(&services.pool, d.tree.root(), &services.latches)
     }
 
     fn rect_of(d: &RtDesc, record: &Record) -> Result<Option<Rect>> {
@@ -569,17 +551,6 @@ impl RTreeIndex {
             ))),
             None => Err(DmxError::InvalidArg("rtree field out of range".into())),
         }
-    }
-
-    fn type_id(rd: &RelationDescriptor, inst: &AttachmentInstance) -> dmx_types::AttTypeId {
-        rd.attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default()
     }
 
     fn payload(rect: &Rect, rkey: &RecordKey) -> Vec<u8> {
@@ -614,19 +585,15 @@ impl Attachment for RTreeIndex {
         let services = ctx.services();
         let file = services.disk.create_file()?;
         let tree = RTree::create(&services.pool, file, &services.latches)?;
-        Ok(RtDesc {
+        let tree = TreeRef {
             file,
             root_page: tree.root().page_no,
-            rect_field,
-        }
-        .encode())
+        };
+        Ok(RtDesc { tree, rect_field }.encode())
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = RtDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        RtDesc::decode(inst_desc)?.tree.destroy(services)
     }
 
     fn on_insert(
@@ -647,7 +614,7 @@ impl Attachment for RTreeIndex {
             let lsn = log_att(
                 ctx,
                 rd,
-                Self::type_id(rd, inst),
+                rd.attachment_type(inst)?,
                 A_INSERT,
                 encode_att_payload(&inst.desc, &Self::payload(&rect, key), &[]),
             );
@@ -681,7 +648,7 @@ impl Attachment for RTreeIndex {
                     let lsn = log_att(
                         ctx,
                         rd,
-                        Self::type_id(rd, inst),
+                        rd.attachment_type(inst)?,
                         A_DELETE,
                         encode_att_payload(&inst.desc, &Self::payload(&r, old_key), &[]),
                     );
@@ -692,7 +659,7 @@ impl Attachment for RTreeIndex {
                 let lsn = log_att(
                     ctx,
                     rd,
-                    Self::type_id(rd, inst),
+                    rd.attachment_type(inst)?,
                     A_INSERT,
                     encode_att_payload(&inst.desc, &Self::payload(&r, new_key), &[]),
                 );
@@ -722,7 +689,7 @@ impl Attachment for RTreeIndex {
                 let lsn = log_att(
                     ctx,
                     rd,
-                    Self::type_id(rd, inst),
+                    rd.attachment_type(inst)?,
                     A_DELETE,
                     encode_att_payload(&inst.desc, &Self::payload(&rect, key), &[]),
                 );
@@ -842,7 +809,7 @@ impl Attachment for RTreeIndex {
         let rows = (records as f64 * 0.01).max(1.0);
         let height = (records.max(2) as f64).log2() / 6.0 + 1.0;
         Some(PathChoice {
-            path: AccessPath::Attachment(Self::type_id(rd, instance), instance.instance),
+            path: AccessPath::Attachment(rd.attachment_type(instance).ok()?, instance.instance),
             query: AccessQuery::Spatial(op, rect),
             cost: Cost::new(height + rows / 50.0, rows),
             rows_out: rows,

@@ -8,17 +8,17 @@
 //! `ANALYZE TABLE` froze bucket bounds — a fixed-bucket equi-width
 //! histogram. The whole state lives in **one cell** of a private B-tree
 //! (keyed by a constant), so maintenance is a read-modify-write of a
-//! single hot page; like [`crate::aggregate`], every change logs the
-//! cell's *before- and after-images* ([`A_DELTA`]) because numeric state
-//! is not presence-checkable: replaying a delta twice would double-count,
-//! installing an image twice cannot.
+//! single hot page; like [`crate::aggregate`], every change writes the
+//! new cell through the one logged tree write ([`dmx_core::write_tree`]),
+//! whose log record holds the cell's before- and after-state: replaying
+//! a delta twice would double-count, installing a cell twice cannot.
 //!
 //! After every installed image the attachment *publishes* an immutable
 //! [`TableStats`] snapshot into the relation descriptor's shared
 //! [`dmx_core::RelationStats`] handle, which every storage method's
 //! `estimate` and the planner consult ([`dmx_expr::stats::selectivity`]).
 //! [`Attachment::activate`] re-publishes from durable state on database
-//! open; `undo`/`redo` re-publish the image they install so aborts and
+//! open; `undo`/`redo` re-publish the cell they install so aborts and
 //! restarts never leave a stale snapshot behind.
 //!
 //! Accuracy contract (documented in DESIGN.md §10.4): row and NULL
@@ -29,17 +29,18 @@
 
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
-use dmx_core::{Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor};
+use dmx_core::{
+    redo_tree_write, undo_tree_write, write_tree, Attachment, AttachmentInstance, CommonServices,
+    ExecCtx, RelationDescriptor, TreeRef,
+};
 use dmx_expr::stats::{value_to_f64, ColumnStats, Histogram, TableStats};
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DataType, DmxError, FileId, Lsn, PageId, Record, RecordKey, Result, Schema, Value,
+    AttrList, DataType, DmxError, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
+use dmx_wal::ExtKind;
 
-use crate::common::{
-    decode_att_payload, encode_att_payload, log_att, read_u16, read_u32, read_u64, tail, A_DELTA,
-};
+use crate::common::{read_u16, read_u64, tail};
 
 /// The maintained-statistics attachment type.
 pub struct Stats;
@@ -50,23 +51,19 @@ pub const SKETCH_BYTES: usize = 32;
 /// Instance descriptor: the private B-tree holding the single cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeRef,
 }
 
 impl StatsDesc {
     pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(8);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
+        let mut v = Vec::with_capacity(TreeRef::LEN);
+        self.tree.encode_into(&mut v);
         v
     }
 
     pub fn decode(b: &[u8]) -> Result<StatsDesc> {
-        const WHAT: &str = "stats descriptor";
         Ok(StatsDesc {
-            file: FileId(read_u32(b, 0, WHAT)?),
-            root_page: read_u32(b, 4, WHAT)?,
+            tree: TreeRef::decode_at(b, 0)?,
         })
     }
 }
@@ -372,103 +369,38 @@ fn decode_cell(b: &[u8]) -> Result<StatsCell> {
     Ok(StatsCell { rows, cols })
 }
 
-/// Before/after image of the cell: `[0]` = absent, `[1] ∥ u32 len ∥
-/// cell` = present (length-prefixed because cells are variable-size).
-fn encode_image(out: &mut Vec<u8>, cell: &Option<StatsCell>) {
-    match cell {
-        None => out.push(0),
-        Some(c) => {
-            out.push(1);
-            let enc = encode_cell(c);
-            out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-            out.extend_from_slice(&enc);
-        }
-    }
-}
-
-fn decode_image(b: &[u8], off: &mut usize) -> Result<Option<StatsCell>> {
-    const WHAT: &str = "stats image";
-    let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
-    let tag = *b.get(*off).ok_or_else(corrupt)?;
-    *off += 1;
-    if tag == 0 {
-        return Ok(None);
-    }
-    let len = read_u32(b, *off, WHAT)? as usize;
-    *off += 4;
-    let enc = b.get(*off..*off + len).ok_or_else(corrupt)?;
-    *off += len;
-    Ok(Some(decode_cell(enc)?))
-}
-
-fn encode_images(before: &Option<StatsCell>, after: &Option<StatsCell>) -> Vec<u8> {
-    let mut v = Vec::new();
-    encode_image(&mut v, before);
-    encode_image(&mut v, after);
-    v
-}
-
-fn decode_images(b: &[u8]) -> Result<(Option<StatsCell>, Option<StatsCell>)> {
-    let mut off = 0;
-    let before = decode_image(b, &mut off)?;
-    let after = decode_image(b, &mut off)?;
-    Ok((before, after))
-}
-
 impl Stats {
-    fn tree(services: &Arc<CommonServices>, d: &StatsDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
-    }
-
     /// The single cell's constant key.
     fn cell_key() -> Vec<u8> {
         encode_values(&[Value::Int(0)])
     }
 
-    fn read_cell(services: &Arc<CommonServices>, desc: &[u8]) -> Result<Option<StatsCell>> {
-        let d = StatsDesc::decode(desc)?;
-        Ok(match Self::tree(services, &d).get(&Self::cell_key())? {
-            Some(raw) => Some(decode_cell(&raw)?),
-            None => None,
-        })
+    /// The encoded cell, when the instance has one.
+    fn read_cell(services: &Arc<CommonServices>, desc: &[u8]) -> Result<Option<Vec<u8>>> {
+        StatsDesc::decode(desc)?
+            .tree
+            .open(services)
+            .get(&Self::cell_key())
     }
 
-    /// Installs a cell image (forward execution installs the after-image
-    /// it computed, undo the before-image, redo the after-image). Dirty
-    /// pages are stamped with `lsn` (write-ahead rule).
-    fn install_image(
-        services: &Arc<CommonServices>,
-        desc: &[u8],
-        image: &Option<StatsCell>,
-        lsn: Lsn,
-    ) -> Result<()> {
-        let d = StatsDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        match image {
-            None => {
-                tree.delete(&Self::cell_key())?;
-            }
-            Some(c) => {
-                tree.insert(&Self::cell_key(), &encode_cell(c), OnDuplicate::Replace)?;
-            }
-        }
+    /// Publishes a cell's planner snapshot (`None` retracts it) into the
+    /// relation's shared statistics handle.
+    fn publish(rd: &RelationDescriptor, cell: Option<&StatsCell>) {
+        rd.stats
+            .publish_table_stats(cell.map(|c| Arc::new(c.to_table_stats())));
+    }
+
+    /// Publishes an installed cell image ([`undo_tree_write`] and
+    /// [`redo_tree_write`] return it).
+    fn publish_image(rd: &RelationDescriptor, image: Option<&[u8]>) -> Result<()> {
+        let cell = image.map(decode_cell).transpose()?;
+        Self::publish(rd, cell.as_ref());
         Ok(())
     }
 
-    /// Publishes the image's planner snapshot into the relation's shared
-    /// statistics handle.
-    fn publish(rd: &RelationDescriptor, image: &Option<StatsCell>) {
-        rd.stats
-            .publish_table_stats(image.as_ref().map(|c| Arc::new(c.to_table_stats())));
-    }
-
     /// One maintained change: `old`/`new` follow the DML op (insert =
-    /// new only, delete = old only, update = both — one logged image
-    /// pair per op, not one per side).
+    /// new only, delete = old only, update = both — one logged cell
+    /// write per op, not one per side).
     fn delta(
         &self,
         ctx: &ExecCtx<'_>,
@@ -479,7 +411,7 @@ impl Stats {
     ) -> Result<()> {
         let before = Self::read_cell(ctx.services(), &inst.desc)?;
         let mut cell = match &before {
-            Some(c) => c.clone(),
+            Some(raw) => decode_cell(raw)?,
             None => StatsCell::new(&rd.schema),
         };
         if let Some(o) = old {
@@ -488,37 +420,22 @@ impl Stats {
         if let Some(n) = new {
             cell.apply(n, 1);
         }
-        let after = Some(cell);
-        self.log_and_install(ctx, rd, inst, &before, &after)
+        Self::write(ctx, rd, inst, before.as_deref(), &cell)
     }
 
-    /// Logs the image pair, installs the after-image and publishes it.
-    fn log_and_install(
-        &self,
+    /// Logs and installs the new cell, then publishes it.
+    fn write(
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         inst: &AttachmentInstance,
-        before: &Option<StatsCell>,
-        after: &Option<StatsCell>,
+        before: Option<&[u8]>,
+        cell: &StatsCell,
     ) -> Result<()> {
-        let att = rd
-            .attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default();
-        let lsn = log_att(
-            ctx,
-            rd,
-            att,
-            A_DELTA,
-            encode_att_payload(&inst.desc, &Self::cell_key(), &encode_images(before, after)),
-        );
-        Self::install_image(ctx.services(), &inst.desc, after, lsn)?;
-        Self::publish(rd, after);
+        let tree = StatsDesc::decode(&inst.desc)?.tree;
+        let ext = ExtKind::Attachment(rd.attachment_type(inst)?);
+        let (key, after) = (Self::cell_key(), encode_cell(cell));
+        write_tree(ctx, ext, rd.id, tree, &key, before, Some(&after))?;
+        Self::publish(rd, Some(cell));
         Ok(())
     }
 }
@@ -539,21 +456,12 @@ impl Attachment for Stats {
         _name: &str,
         _params: &AttrList,
     ) -> Result<Vec<u8>> {
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
-        Ok(StatsDesc {
-            file,
-            root_page: tree.root().page_no,
-        }
-        .encode())
+        let tree = TreeRef::create(ctx.services())?;
+        Ok(StatsDesc { tree }.encode())
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = StatsDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        StatsDesc::decode(inst_desc)?.tree.destroy(services)
     }
 
     fn on_insert(
@@ -600,6 +508,8 @@ impl Attachment for Stats {
         Ok(())
     }
 
+    /// The planner snapshot reverts with the durable cell, so an abort
+    /// never leaves inflated statistics published.
     fn undo(
         &self,
         services: &Arc<CommonServices>,
@@ -608,17 +518,7 @@ impl Attachment for Stats {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad stats op {op}")));
-        }
-        let (desc, _key, images) = decode_att_payload(payload)?;
-        let (before, _) = decode_images(images)?;
-        // Full before-images in reverse log order are idempotent; the
-        // planner snapshot reverts with the durable cell so an abort
-        // never leaves inflated statistics published.
-        Self::install_image(services, desc, &before, lsn)?;
-        Self::publish(rd, &before);
-        Ok(())
+        Self::publish_image(rd, undo_tree_write(services, lsn, op, payload)?)
     }
 
     fn redo(
@@ -629,14 +529,7 @@ impl Attachment for Stats {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad stats op {op}")));
-        }
-        let (desc, _key, images) = decode_att_payload(payload)?;
-        let (_, after) = decode_images(images)?;
-        Self::install_image(services, desc, &after, lsn)?;
-        Self::publish(rd, &after);
-        Ok(())
+        Self::publish_image(rd, redo_tree_write(services, lsn, op, payload)?)
     }
 
     /// Re-publishes the planner snapshot from durable state on database
@@ -647,9 +540,7 @@ impl Attachment for Stats {
         rd: &RelationDescriptor,
         instance: &AttachmentInstance,
     ) -> Result<()> {
-        let cell = Self::read_cell(services, &instance.desc)?;
-        Self::publish(rd, &cell);
-        Ok(())
+        Self::publish_image(rd, Self::read_cell(services, &instance.desc)?.as_deref())
     }
 
     /// Retracts the published snapshot when the instance is dropped; the
@@ -696,14 +587,14 @@ impl Attachment for Stats {
                 col.hist = Some(h);
             }
             let before = Self::read_cell(ctx.services(), &inst.desc)?;
-            self.log_and_install(ctx, rd, inst, &before, &Some(cell))?;
+            Self::write(ctx, rd, inst, before.as_deref(), &cell)?;
         }
         Ok(!instances.is_empty())
     }
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
         match StatsDesc::decode(inst_desc) {
-            Ok(d) => vec![d.file],
+            Ok(d) => vec![d.tree.file],
             Err(_) => Vec::new(),
         }
     }
@@ -787,10 +678,6 @@ mod tests {
         });
         let decoded = decode_cell(&encode_cell(&cell)).unwrap();
         assert_eq!(decoded, cell);
-        // image pair roundtrip, including the absent case
-        let (b, a) = decode_images(&encode_images(&None, &Some(cell.clone()))).unwrap();
-        assert_eq!(b, None);
-        assert_eq!(a, Some(cell));
         assert!(decode_cell(&[1, 2, 3]).is_err());
     }
 

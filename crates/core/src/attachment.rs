@@ -102,7 +102,8 @@ pub trait Attachment: Send + Sync {
     /// forward mirror of [`Attachment::undo`]). Under no-force a
     /// committed side effect may never have reached disk, so attachments
     /// with associated storage must replay it idempotently —
-    /// presence-checked or page-LSN-guarded. Default no-op: correct for
+    /// image-installing ([`crate::redo_tree_write`]), presence-checked or
+    /// page-LSN-guarded. Default no-op: correct for
     /// attachments without storage (checks, triggers, referential
     /// constraints), whose effects are vetoes, not state.
     fn redo(

@@ -92,6 +92,20 @@ impl RelationDescriptor {
             .filter_map(|(i, o)| o.as_deref().map(|v| (AttTypeId(i as u8), v)))
     }
 
+    /// The attachment type `inst` is an instance of — the type id an
+    /// attachment logs its operations under. `NotFound` when the
+    /// descriptor does not carry the instance.
+    pub fn attachment_type(&self, inst: &AttachmentInstance) -> Result<AttTypeId> {
+        self.attached_types()
+            .find(|(_, insts)| {
+                insts
+                    .iter()
+                    .any(|i| i.instance == inst.instance && i.name == inst.name)
+            })
+            .map(|(t, _)| t)
+            .ok_or_else(|| DmxError::NotFound(format!("attachment {}", inst.name)))
+    }
+
     /// Total number of attachment instances across all types.
     pub fn attachment_count(&self) -> usize {
         self.attachments.iter().flatten().map(|v| v.len()).sum()

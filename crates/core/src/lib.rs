@@ -24,6 +24,8 @@
 //!   storage method"), scan-position rules and the per-transaction scan
 //!   registry driving end-of-transaction cleanup and savepoint
 //!   save/restore of positions;
+//! * [`tree`] — the one logged B-tree write ([`write_tree`]) and its
+//!   undo/redo, shared by every tree-backed extension;
 //! * [`services::CommonServices`] — the shared execution environment
 //!   (buffer pool, log, lock manager, predicate evaluator, latches);
 //! * [`catalog`], [`deps`], [`auth`] — descriptor management, bound-plan
@@ -49,6 +51,7 @@ pub mod services;
 pub mod stats;
 pub mod storage_method;
 pub mod sysrel;
+pub mod tree;
 pub mod undo;
 
 pub use access::{
@@ -73,3 +76,4 @@ pub use scrub::{
 pub use services::CommonServices;
 pub use stats::RelationStats;
 pub use storage_method::{SalvagedRecords, StorageMethod};
+pub use tree::{redo_tree_write, undo_tree_write, write_tree, TreeRef, TreeWrite, OP_TREE_WRITE};

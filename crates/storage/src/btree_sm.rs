@@ -9,42 +9,35 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
 use dmx_core::{
-    lock_write_gaps, project_values, scan_estimate, AccessPath, AccessQuery, CommonServices, Cost,
-    ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps, StorageMethod,
-    TreeEntries, TreeScan,
+    lock_write_gaps, project_values, redo_tree_write, scan_estimate, undo_tree_write, write_tree,
+    AccessPath, AccessQuery, CommonServices, Cost, ExecCtx, KeyRange, PathChoice,
+    RelationDescriptor, ScanItem, ScanOps, StorageMethod, TreeEntries, TreeRef, TreeScan,
 };
 use dmx_expr::{analyze, CmpOp, Expr, SargOp};
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey,
-    RelationId, Result, Schema, Value,
+    key::encode_values, AttrList, DmxError, FieldId, Lsn, Record, RecordKey, RelationId, Result,
+    Schema, Value,
 };
 use dmx_wal::ExtKind;
 
-use crate::ops::{
-    decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
-    OP_UPDATE,
-};
 use crate::util::filter_project;
 
 /// The B-tree storage method singleton.
 pub struct BTreeStorage;
 
-/// Descriptor: file (u32) + root page_no (u32) + key field count (u16) +
-/// field ids.
+/// Descriptor: tree (file u32 + root page_no u32) + key field count
+/// (u16) + field ids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BtDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeRef,
     pub key_fields: Vec<FieldId>,
 }
 
 impl BtDesc {
     pub fn encode(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(10 + self.key_fields.len() * 2);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
+        self.tree.encode_into(&mut v);
         v.extend_from_slice(&(self.key_fields.len() as u16).to_le_bytes());
         for f in &self.key_fields {
             v.extend_from_slice(&f.to_le_bytes());
@@ -53,34 +46,21 @@ impl BtDesc {
     }
 
     pub fn decode(desc: &[u8]) -> Result<BtDesc> {
-        use dmx_types::bytes::{le_u16, le_u32};
+        use dmx_types::bytes::le_u16;
         let corrupt = || DmxError::Corrupt("short btree-sm descriptor".into());
-        let file = FileId(le_u32(desc, 0).ok_or_else(corrupt)?);
-        let root_page = le_u32(desc, 4).ok_or_else(corrupt)?;
+        let tree = TreeRef::decode_at(desc, 0)?;
         let n = le_u16(desc, 8).ok_or_else(corrupt)? as usize;
         let mut key_fields = Vec::with_capacity(n);
         for i in 0..n {
             key_fields.push(le_u16(desc, 10 + i * 2).ok_or_else(corrupt)?);
         }
-        Ok(BtDesc {
-            file,
-            root_page,
-            key_fields,
-        })
+        Ok(BtDesc { tree, key_fields })
     }
 }
 
 impl BTreeStorage {
     fn desc(rd: &RelationDescriptor) -> Result<BtDesc> {
         BtDesc::decode(&rd.sm_desc)
-    }
-
-    fn tree(services: &Arc<CommonServices>, d: &BtDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
     }
 
     fn record_key(d: &BtDesc, record: &Record) -> Result<RecordKey> {
@@ -120,8 +100,8 @@ impl BTreeStorage {
         Ok(fields)
     }
 
-    fn log(ctx: &ExecCtx<'_>, rd: &RelationDescriptor, op: u8, payload: Vec<u8>) -> Lsn {
-        ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, op, payload)
+    fn duplicate(key: &RecordKey) -> DmxError {
+        DmxError::Duplicate(format!("btree storage key {key:?} already exists"))
     }
 }
 
@@ -143,27 +123,17 @@ impl StorageMethod for BTreeStorage {
         params: &AttrList,
     ) -> Result<Vec<u8>> {
         let key_fields = Self::parse_key_fields(params, schema)?;
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
-        Ok(BtDesc {
-            file,
-            root_page: tree.root().page_no,
-            key_fields,
-        }
-        .encode())
+        let tree = TreeRef::create(ctx.services())?;
+        Ok(BtDesc { tree, key_fields }.encode())
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, sm_desc: &[u8]) -> Result<()> {
-        let d = BtDesc::decode(sm_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        BtDesc::decode(sm_desc)?.tree.destroy(services)
     }
 
     fn storage_files(&self, sm_desc: &[u8]) -> Vec<dmx_types::FileId> {
         BtDesc::decode(sm_desc)
-            .map(|d| vec![d.file])
+            .map(|d| vec![d.tree.file])
             .unwrap_or_default()
     }
 
@@ -175,29 +145,18 @@ impl StorageMethod for BTreeStorage {
     ) -> Result<RecordKey> {
         let d = Self::desc(rd)?;
         let key = Self::record_key(&d, record)?;
-        let tree = Self::tree(ctx.services(), &d);
-        // Pre-check the duplicate so the log record is written only for
-        // operations that will apply (a logged-but-failed insert would
-        // make rollback delete the pre-existing record), while keeping
-        // the write-ahead order: the log record exists before the tree
-        // pages are dirtied, so any flush of those pages forces it first.
-        if tree.get(key.as_bytes())?.is_some() {
-            return Err(DmxError::Duplicate(format!(
-                "btree storage key {key:?} already exists"
-            )));
-        }
-        // Record X, then the gap the key splits. The DML layer re-locks
-        // the key after this call returns; that is a re-grant.
+        let tree = d.tree.open(ctx.services());
+        // Record X, then the gap the key splits, *before* the presence
+        // check: a writer that deleted the key holds its X until it ends,
+        // and if it aborts, its undo restores the record this insert must
+        // then refuse. The DML layer re-locks the key after this call
+        // returns; that is a re-grant.
         lock_write_gaps(ctx, rd.id, &tree, Some(&key), key.as_bytes(), false)?;
-        let bytes = record.encode();
-        let lsn = Self::log(
-            ctx,
-            rd,
-            OP_INSERT,
-            encode_key_record(key.as_bytes(), &bytes),
-        );
-        tree.with_wal_lsn(lsn)
-            .insert(key.as_bytes(), &bytes, OnDuplicate::Replace)?;
+        if tree.get(key.as_bytes())?.is_some() {
+            return Err(Self::duplicate(&key));
+        }
+        let (ext, after) = (ExtKind::Storage(rd.sm), record.encode());
+        write_tree(ctx, ext, rd.id, d.tree, key.as_bytes(), None, Some(&after))?;
         Ok(key)
     }
 
@@ -209,55 +168,35 @@ impl StorageMethod for BTreeStorage {
         new: &Record,
     ) -> Result<(Record, RecordKey)> {
         let d = Self::desc(rd)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree.open(ctx.services());
         let old_bytes = tree
             .get(key.as_bytes())?
             .ok_or_else(|| DmxError::NotFound(format!("btree record {key:?}")))?;
         let old = Record::decode(&old_bytes)?;
         let new_key = Self::record_key(&d, new)?;
         let new_bytes = new.encode();
+        let ext = ExtKind::Storage(rd.sm);
         if new_key == *key {
-            let lsn = Self::log(
-                ctx,
-                rd,
-                OP_UPDATE,
-                encode_key_old_new(key.as_bytes(), &old_bytes, &new_bytes),
-            );
-            tree.with_wal_lsn(lsn)
-                .insert(key.as_bytes(), &new_bytes, OnDuplicate::Replace)?;
+            let (before, after) = (Some(old_bytes.as_slice()), Some(new_bytes.as_slice()));
+            write_tree(ctx, ext, rd.id, d.tree, key.as_bytes(), before, after)?;
             return Ok((old, new_key));
         }
         // Key fields changed: the record moves ("the old record and record
         // key will be used to determine which key to delete … and the new
-        // record and record key … inserted").
-        if tree.get(new_key.as_bytes())?.is_some() {
-            return Err(DmxError::Duplicate(format!(
-                "btree storage key {new_key:?} already exists"
-            )));
-        }
-        // The relocation deletes the old key (merging its gap into its
-        // successor's) and inserts the new one (splitting a gap). The
-        // destination key's record X comes ahead of every gap (the old
-        // key's record X is already held by the DML layer); the DML
-        // layer's post-return lock is a re-grant.
+        // record and record key … inserted"). The relocation deletes the
+        // old key (merging its gap into its successor's) and inserts the
+        // new one (splitting a gap). The destination key's record X comes
+        // ahead of every gap and ahead of its presence check (see
+        // `insert`); the old key's record X is already held by the DML
+        // layer, and its post-return lock is a re-grant.
         lock_write_gaps(ctx, rd.id, &tree, Some(&new_key), key.as_bytes(), true)?;
         lock_write_gaps(ctx, rd.id, &tree, None, new_key.as_bytes(), false)?;
-        let lsn = Self::log(
-            ctx,
-            rd,
-            OP_DELETE,
-            encode_key_record(key.as_bytes(), &old_bytes),
-        );
-        let tree = tree.with_wal_lsn(lsn);
-        tree.delete(key.as_bytes())?;
-        let lsn = Self::log(
-            ctx,
-            rd,
-            OP_INSERT,
-            encode_key_record(new_key.as_bytes(), &new_bytes),
-        );
-        tree.with_wal_lsn(lsn)
-            .insert(new_key.as_bytes(), &new_bytes, OnDuplicate::Replace)?;
+        if tree.get(new_key.as_bytes())?.is_some() {
+            return Err(Self::duplicate(&new_key));
+        }
+        let (from, to) = (key.as_bytes(), new_key.as_bytes());
+        write_tree(ctx, ext, rd.id, d.tree, from, Some(&old_bytes), None)?;
+        write_tree(ctx, ext, rd.id, d.tree, to, None, Some(&new_bytes))?;
         Ok((old, new_key))
     }
 
@@ -268,18 +207,13 @@ impl StorageMethod for BTreeStorage {
         key: &RecordKey,
     ) -> Result<Record> {
         let d = Self::desc(rd)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree.open(ctx.services());
         let old_bytes = tree
             .get(key.as_bytes())?
             .ok_or_else(|| DmxError::NotFound(format!("btree record {key:?}")))?;
         lock_write_gaps(ctx, rd.id, &tree, None, key.as_bytes(), true)?;
-        let lsn = Self::log(
-            ctx,
-            rd,
-            OP_DELETE,
-            encode_key_record(key.as_bytes(), &old_bytes),
-        );
-        tree.with_wal_lsn(lsn).delete(key.as_bytes())?;
+        let (ext, before) = (ExtKind::Storage(rd.sm), Some(old_bytes.as_slice()));
+        write_tree(ctx, ext, rd.id, d.tree, key.as_bytes(), before, None)?;
         Record::decode(&old_bytes)
     }
 
@@ -292,7 +226,7 @@ impl StorageMethod for BTreeStorage {
         pred: Option<&Expr>,
     ) -> Result<Option<Vec<Value>>> {
         let d = Self::desc(rd)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree.open(ctx.services());
         let Some(bytes) = tree.get(key.as_bytes())? else {
             return Ok(None);
         };
@@ -308,7 +242,7 @@ impl StorageMethod for BTreeStorage {
         fields: Option<Vec<FieldId>>,
     ) -> Result<Box<dyn ScanOps>> {
         let d = Self::desc(rd)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree.open(ctx.services());
         Ok(Box::new(TreeScan::new(
             &tree,
             range,
@@ -364,59 +298,23 @@ impl StorageMethod for BTreeStorage {
     fn undo(
         &self,
         services: &Arc<CommonServices>,
-        rd: &RelationDescriptor,
+        _rd: &RelationDescriptor,
         lsn: Lsn,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let d = Self::desc(rd)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        let (key, rest) = decode_key(payload)?;
-        match op {
-            // Logical undo with presence checks (idempotent).
-            OP_INSERT => {
-                tree.delete(key)?;
-            }
-            OP_DELETE => {
-                tree.insert(key, rest, OnDuplicate::Replace)?;
-            }
-            OP_UPDATE => {
-                let (old, _) = decode_old_new(rest)?;
-                tree.insert(key, old, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad btree-sm op {other}"))),
-        }
-        Ok(())
+        undo_tree_write(services, lsn, op, payload).map(drop)
     }
 
     fn redo(
         &self,
         services: &Arc<CommonServices>,
-        rd: &RelationDescriptor,
+        _rd: &RelationDescriptor,
         lsn: Lsn,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let d = Self::desc(rd)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        let (key, rest) = decode_key(payload)?;
-        // Logical redo: the on-disk tree is the last checkpoint's
-        // (no-steal) consistent image, and replace/absent-tolerant ops
-        // make replay idempotent.
-        match op {
-            OP_INSERT => {
-                tree.insert(key, rest, OnDuplicate::Replace)?;
-            }
-            OP_DELETE => {
-                tree.delete(key)?;
-            }
-            OP_UPDATE => {
-                let (_, new) = decode_old_new(rest)?;
-                tree.insert(key, new, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad btree-sm op {other}"))),
-        }
-        Ok(())
+        redo_tree_write(services, lsn, op, payload).map(drop)
     }
 
     fn scan_ordering(&self, rd: &RelationDescriptor) -> Option<Vec<FieldId>> {

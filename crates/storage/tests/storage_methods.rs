@@ -403,6 +403,46 @@ fn btree_sm_key_change_relocates_record() {
     .unwrap();
 }
 
+/// An insert racing an uncommitted delete of the same key: T1 deletes
+/// key 5 and holds its record X; T2's insert of key 5 blocks on that
+/// lock (the `lock.waits` counter shows it queued); T1 aborts, and its
+/// undo restores row 5. T2 must re-check presence after the wait and
+/// fail with `Duplicate` instead of overwriting the restored row.
+#[test]
+fn btree_sm_insert_after_lock_wait_sees_the_record_an_abort_restored() {
+    let db = open_db();
+    let rel = make_rel(&db, "btree", "t");
+    let k5 = db
+        .with_txn(|txn| db.insert(txn, rel, rec(5, "original", 5.0)))
+        .unwrap();
+    let t1 = db.begin();
+    db.delete(&t1, rel, &k5).unwrap();
+    let waits = || db.metrics_snapshot().counter("lock.waits");
+    let waits_before = waits();
+    let inserted = std::thread::scope(|s| {
+        let t2 = s.spawn(|| {
+            let t2 = db.begin();
+            let r = db.insert(&t2, rel, rec(5, "intruder", 0.0));
+            db.abort(&t2).unwrap();
+            r
+        });
+        while waits() == waits_before {
+            std::thread::yield_now();
+        }
+        db.abort(&t1).unwrap();
+        t2.join().unwrap()
+    });
+    assert!(
+        matches!(inserted, Err(DmxError::Duplicate(_))),
+        "insert over a restored row: {inserted:?}"
+    );
+    let row = db
+        .with_txn(|txn| db.fetch(txn, rel, &k5, None, None))
+        .unwrap()
+        .unwrap();
+    assert_eq!(row[1], Value::from("original"));
+}
+
 #[test]
 fn btree_sm_enforces_key_uniqueness_and_scan_order() {
     let db = open_db();

@@ -872,9 +872,13 @@ mod tests {
     use super::*;
 
     fn sf(rel: &str, src: &str) -> SourceFile {
+        // A per-call sequence number: parallel tests may load the same
+        // `rel` at once.
+        static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "xtask-test-{}-{}",
+            "xtask-test-{}-{}-{}",
             std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             rel.replace('/', "_")
         ));
         std::fs::write(&dir, src).expect("write temp");

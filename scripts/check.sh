@@ -3,20 +3,20 @@
 # verify pass, an offline release build, and the test suite. CI and
 # pre-push hooks should run exactly this.
 #
-# `check.sh --thorough` additionally runs the crash-point sweeps at
-# stride 1 (every single I/O index, including the points inside the
-# scrubber and the repair pipeline), repeats the concurrency suite
-# ten times in a row, so a race that fails one run in a few fails the
-# lane instead of passing as flaky, and runs the bench lanes at full
-# scale so the wall-clock gates judge the current tree — the nightly
-# lane.
+# The workspace test run already covers the crash-point sweeps
+# (`fault_sweep` at stride 1, the self-heal sweep at stride 16) and the
+# storage-method differential oracle. `check.sh --thorough` additionally
+# runs the self-heal sweep at stride 1 (every I/O index, including the
+# points inside the scrubber and the repair pipeline), repeats the
+# concurrency suite ten times in a row, so a race that fails one run in
+# a few fails the lane instead of passing as flaky, and runs the bench
+# lanes at full scale so the wall-clock gates judge the current tree —
+# the nightly lane.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STRIDE=16
 THOROUGH=0
 if [ "${1:-}" = "--thorough" ]; then
-  STRIDE=1
   THOROUGH=1
 fi
 
@@ -51,16 +51,13 @@ cargo build --release
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-# Bounded crash-point sweep: every 16th I/O index by default; stride 1
-# (every index) under --thorough. The self-heal sweep re-runs the same
-# crash grid with the crash points landing inside CHECK TABLE / REPAIR
-# TABLE, asserting the repair pipeline converges from any interruption.
-echo "==> fault sweep (FAULT_SWEEP_STRIDE=$STRIDE)"
-FAULT_SWEEP_STRIDE=$STRIDE cargo test -q --test fault_sweep
-echo "==> self-heal crash sweep (FAULT_SWEEP_STRIDE=$STRIDE)"
-FAULT_SWEEP_STRIDE=$STRIDE cargo test -q --test self_heal crash_sweep
-
 if [ "$THOROUGH" = 1 ]; then
+  # The self-heal sweep re-runs the crash grid with the crash points
+  # landing inside CHECK TABLE / REPAIR TABLE, asserting the repair
+  # pipeline converges from any interruption; the workspace run above
+  # takes every 16th I/O index, this one every index.
+  echo "==> self-heal crash sweep (FAULT_SWEEP_STRIDE=1)"
+  FAULT_SWEEP_STRIDE=1 cargo test -q --test self_heal crash_sweep
   for run in $(seq 1 10); do
     echo "==> concurrency suite, run ${run}/10"
     cargo test -q --test concurrency
@@ -68,11 +65,6 @@ if [ "$THOROUGH" = 1 ]; then
   echo "==> bench lanes at full scale (wall-clock gates included)"
   cargo run -q --release -p dmx-bench --bin harness -- lanes
 fi
-
-# Storage-method differential oracle: heap vs btree vs in-memory model
-# over seeded statement streams.
-echo "==> differential oracle"
-cargo test -q --test differential
 
 # Bench lanes and gates: every lane runs twice at smoke scale (a
 # deterministic lane whose snapshot diverges fails), then the gate table

@@ -2,7 +2,8 @@
 //!
 //! Each iteration derives a DML stream *and* a crash point from the
 //! master seed, runs the stream against a relation carrying a unique
-//! index, a secondary index and referential-integrity attachments, lets
+//! index, a secondary index, a hash index, a join index, a maintained
+//! aggregate and referential-integrity attachments, lets
 //! the scheduled crash fire mid-stream (reusing the PR2 [`FaultPlan`]
 //! machinery), reopens on healthy I/O, and asserts that every attachment
 //! agrees with its base relation — then keeps going and checks again, so
@@ -17,7 +18,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use starburst_dmx::core::{ExecCtx, ScanItem};
 use starburst_dmx::prelude::*;
+use starburst_dmx::types::key::encode_values;
 use starburst_dmx::types::testrng::TestRng;
 use starburst_dmx::types::MetricsSnapshot;
 
@@ -30,14 +33,23 @@ fn reopen(env: &DatabaseEnv) -> Arc<Database> {
     starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).expect("reopen")
 }
 
-/// DDL: a parent relation, a child relation with unique + secondary
-/// index attachments, and a refint pair between them.
+/// DDL: a parent relation, a child relation with unique, secondary and
+/// hash index attachments and a maintained per-dept aggregate, a join
+/// index `emp.dept ↔ dept.id`, and a refint pair between them.
 fn setup(db: &Arc<Database>) -> Result<()> {
     db.execute_sql("CREATE TABLE dept (id INT NOT NULL, name STRING NOT NULL)")?;
     db.execute_sql("CREATE UNIQUE INDEX dept_pk ON dept (id)")?;
     db.execute_sql("CREATE TABLE emp (id INT NOT NULL, name STRING NOT NULL, dept INT NOT NULL)")?;
     db.execute_sql("CREATE UNIQUE INDEX emp_pk ON emp (id)")?;
     db.execute_sql("CREATE INDEX emp_dept ON emp (dept)")?;
+    db.execute_sql("CREATE INDEX emp_dept_hash ON emp USING hash (dept)")?;
+    db.execute_sql(
+        "CREATE ATTACHMENT emp_sums ON emp USING aggregate WITH (sum=id, group_by=dept)",
+    )?;
+    db.execute_sql("CREATE ATTACHMENT ed ON emp USING joinindex WITH (side=left, fields=dept)")?;
+    db.execute_sql(
+        "CREATE ATTACHMENT ed ON dept USING joinindex WITH (side=right, fields=id, other=emp)",
+    )?;
     db.execute_sql(
         "CREATE ATTACHMENT fk_c ON emp USING refint \
          WITH (role=child, fields=dept, other=dept, other_fields=id)",
@@ -109,6 +121,101 @@ fn stream(db: &Arc<Database>, rng: &mut TestRng, written: &mut Written, next_id:
     }
 }
 
+/// The items attachment `name` of `rel` (its storage method when `name`
+/// is empty) answers `query` with, read raw: no record locks and no
+/// re-validation against the base relation.
+fn raw_items(db: &Arc<Database>, rel: &str, name: &str, query: AccessQuery) -> Vec<ScanItem> {
+    let rd = db.catalog().get_by_name(rel).expect("relation");
+    let path = match name {
+        "" => AccessPath::StorageMethod,
+        _ => {
+            let (at, inst) = rd.find_attachment(name).expect("attachment");
+            AccessPath::Attachment(at, inst.instance)
+        }
+    };
+    let txn = db.begin();
+    let ctx = ExecCtx { db, txn: &txn };
+    let mut scan = db
+        .open_scan_raw(&ctx, &rd, path, query, None, None)
+        .expect("open raw scan");
+    let mut items = Vec::new();
+    while let Some(item) = scan
+        .next(&ctx)
+        .unwrap_or_else(|e| panic!("raw scan of {rel}.{name}: {e}"))
+    {
+        items.push(item);
+    }
+    db.commit(&txn).expect("read-only commit");
+    items
+}
+
+/// Record key → record values of every row of `rel`.
+fn base_rows(db: &Arc<Database>, rel: &str) -> BTreeMap<Vec<u8>, Vec<Value>> {
+    raw_items(db, rel, "", AccessQuery::All)
+        .into_iter()
+        .map(|i| (i.key.as_bytes().to_vec(), i.values.expect("record values")))
+        .collect()
+}
+
+/// The hash index, the join index and the maintained aggregate each
+/// agree with a recomputation from the base tables `pairs` (emp id,
+/// dept) describes.
+fn check_derived_attachments(db: &Arc<Database>, at: &str, pairs: &[(i64, i64)]) {
+    let int = |v: &Value| v.as_int().expect("int");
+    let emp = base_rows(db, "emp");
+    let dept = base_rows(db, "dept");
+    let emp_id = |key: &[u8]| {
+        int(&emp
+            .get(key)
+            .unwrap_or_else(|| panic!("{at}: dangling emp key"))[0])
+    };
+    // hash index: each probe yields exactly the rows with that dept
+    for d in 0..DEPTS {
+        let probe = AccessQuery::KeyEquals(encode_values(&[Value::Int(d)]));
+        let mut via_hash: Vec<i64> = raw_items(db, "emp", "emp_dept_hash", probe)
+            .iter()
+            .map(|i| emp_id(i.key.as_bytes()))
+            .collect();
+        via_hash.sort_unstable();
+        let expect: Vec<i64> = pairs.iter().filter(|p| p.1 == d).map(|p| p.0).collect();
+        assert_eq!(via_hash, expect, "{at}: hash index disagrees on dept {d}");
+    }
+    // join index: exactly one (emp, dept) pair per row, matching its dept
+    let mut joined: Vec<(i64, i64)> = raw_items(db, "emp", "ed", AccessQuery::All)
+        .iter()
+        .map(|i| {
+            let values = i.values.as_ref().expect("pair values");
+            let Value::Bytes(dkey) = &values[0] else {
+                panic!("{at}: bad pair {values:?}")
+            };
+            let d = dept
+                .get(dkey)
+                .unwrap_or_else(|| panic!("{at}: dangling dept key"));
+            (emp_id(i.key.as_bytes()), int(&d[0]))
+        })
+        .collect();
+    joined.sort_unstable();
+    assert_eq!(joined, pairs, "{at}: join index disagrees with the join");
+    // aggregate: (count, sum of ids) per non-empty dept
+    let mut expect: BTreeMap<i64, (i64, f64)> = BTreeMap::new();
+    for &(id, d) in pairs {
+        let cell = expect.entry(d).or_default();
+        cell.0 += 1;
+        cell.1 += id as f64;
+    }
+    let maintained: BTreeMap<i64, (i64, f64)> = raw_items(db, "emp", "emp_sums", AccessQuery::All)
+        .iter()
+        .map(|i| {
+            let v = i.values.as_ref().expect("aggregate values");
+            (int(&v[0]), (int(&v[1]), v[2].as_float().expect("sum")))
+        })
+        .collect();
+    assert_eq!(
+        maintained, expect,
+        "{at}: aggregate disagrees with recomputation"
+    );
+}
+
 /// Attachment/base agreement after recovery. `written` is advisory
 /// post-crash (a statement reported as failed may still have committed),
 /// so only *structural* invariants are hard-asserted.
@@ -167,6 +274,7 @@ fn check_attachments(db: &Arc<Database>, at: &str) -> Vec<(i64, i64)> {
         );
     }
     pairs.sort_unstable();
+    check_derived_attachments(db, at, &pairs);
     pairs
 }
 
